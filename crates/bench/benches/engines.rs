@@ -1,18 +1,16 @@
-//! F1 — counting-engine scaling on FPT-family queries, and P1 — the
-//! sequential-vs-parallel comparison.
+//! F1 — counting-engine scaling on FPT-family queries, and P1 — every
+//! engine at 1, 2 and 4 worker threads.
 //!
 //! Regenerates the engine-comparison series of EXPERIMENTS.md: counting
 //! time versus structure size for a fixed bounded-treewidth query, per
-//! engine (brute force / relational algebra / #Hom-DP / FPT), plus the
-//! `fpt` vs `fpt-par` and `brute-force` vs `brute-par` series at 1, 2,
-//! and 4 worker threads (the one-thread parallel engines *are* the
-//! sequential algorithms — their bars measure pool overhead).
+//! engine (brute force / relational algebra / #Hom-DP / FPT), plus each
+//! engine's thread-scaling series, where the 1-thread bar is the
+//! baseline the 2- and 4-thread bars compare against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epq_bench::pp_of;
 use epq_counting::engines::{
-    BruteForceEngine, FptEngine, HomDpEngine, ParBruteForceEngine, ParFptEngine, PpCountingEngine,
-    RelalgEngine,
+    all_engines, BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
 };
 use epq_workloads::{data, queries};
 use rand::rngs::StdRng;
@@ -64,71 +62,58 @@ fn engines_on_free_path(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_vs_sequential_fpt(c: &mut Criterion) {
-    // P1: the FPT engine against its work-sharded variant on the
-    // largest F1 structure sizes. Expect ~linear scaling in threads on
+fn engines_across_threads(c: &mut Criterion) {
+    // P1 on the largest F1 sizes: qpath3 (fpt's boundary sweep
+    // dominates) and the quantifier-free path2 (brute force's sharded
+    // assignment sweep). Expect ~linear scaling in threads on
     // multi-core runners; counts are asserted identical up front.
-    let query = queries::quantified_path_query(3);
-    let pp = pp_of(&query);
-    let mut group = c.benchmark_group("P1/qpath3-par");
-    group.sample_size(10);
-    for n in [64usize, 96] {
-        let b = data::random_digraph(&mut StdRng::seed_from_u64(n as u64), n, 0.08);
-        let sequential = FptEngine.count(&pp, &b);
-        group.bench_with_input(BenchmarkId::new("fpt", n), &n, |bencher, _| {
-            bencher.iter(|| FptEngine.count(&pp, &b));
-        });
-        for threads in [1usize, 2, 4] {
-            let engine = ParFptEngine::new(threads);
-            assert_eq!(
-                engine.count(&pp, &b),
-                sequential,
-                "fpt-par/{threads} on {n}"
+    let families = [
+        (
+            "qpath3",
+            queries::quantified_path_query(3),
+            [64usize, 96],
+            0.08,
+            0,
+        ),
+        ("path2", queries::path_query(2), [16, 24], 0.1, 7),
+    ];
+    for (family, query, sizes, density, seed_offset) in families {
+        let pp = pp_of(&query);
+        let mut group = c.benchmark_group(format!("P1/{family}"));
+        group.sample_size(10);
+        for n in sizes {
+            let b = data::random_digraph(
+                &mut StdRng::seed_from_u64(seed_offset + n as u64),
+                n,
+                density,
             );
-            let id = BenchmarkId::new(format!("fpt-par/{threads}t"), n);
-            group.bench_with_input(id, &n, |bencher, _| {
-                bencher.iter(|| engine.count(&pp, &b));
-            });
+            for engine in all_engines() {
+                if family == "qpath3" && engine.name() == "brute-force" {
+                    continue; // recorded up to n = 32 in F1
+                }
+                let expected = engine.count(&pp, &b);
+                for threads in [1usize, 2, 4] {
+                    assert_eq!(
+                        engine.count_threaded(&pp, &b, threads),
+                        expected,
+                        "{}/{threads}t on {n}",
+                        engine.name()
+                    );
+                    let id = BenchmarkId::new(format!("{}/{threads}t", engine.name()), n);
+                    group.bench_with_input(id, &n, |bencher, _| {
+                        bencher.iter(|| engine.count_threaded(&pp, &b, threads));
+                    });
+                }
+            }
         }
+        group.finish();
     }
-    group.finish();
-}
-
-fn parallel_vs_sequential_brute(c: &mut Criterion) {
-    // P1: the brute enumerator against its range-sharded variant. The
-    // assignment sweep is embarrassingly parallel, so this series is
-    // the cleanest speedup readout.
-    let query = queries::path_query(2);
-    let pp = pp_of(&query);
-    let mut group = c.benchmark_group("P1/path2-brute-par");
-    group.sample_size(10);
-    for n in [16usize, 24] {
-        let b = data::random_digraph(&mut StdRng::seed_from_u64(7 + n as u64), n, 0.1);
-        let sequential = BruteForceEngine.count(&pp, &b);
-        group.bench_with_input(BenchmarkId::new("brute-force", n), &n, |bencher, _| {
-            bencher.iter(|| BruteForceEngine.count(&pp, &b));
-        });
-        for threads in [1usize, 2, 4] {
-            let engine = ParBruteForceEngine::new(threads);
-            assert_eq!(
-                engine.count(&pp, &b),
-                sequential,
-                "brute-par/{threads} on {n}"
-            );
-            let id = BenchmarkId::new(format!("brute-par/{threads}t"), n);
-            group.bench_with_input(id, &n, |bencher, _| {
-                bencher.iter(|| engine.count(&pp, &b));
-            });
-        }
-    }
-    group.finish();
 }
 
 criterion_group!(
     benches,
     engines_on_quantified_path,
     engines_on_free_path,
-    parallel_vs_sequential_fpt,
-    parallel_vs_sequential_brute
+    engines_across_threads
 );
 criterion_main!(benches);

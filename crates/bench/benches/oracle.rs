@@ -60,7 +60,7 @@ fn general_case_recovery(c: &mut Criterion) {
     group.bench_function("recover-plus", |bench| {
         bench.iter(|| {
             let mut oracle =
-                |d: &Structure| count_ep_with(&dec, query.liberal_count(), d, &FptEngine);
+                |d: &Structure| count_ep_with(&dec, query.liberal_count(), d, &FptEngine, 1);
             recover_plus_counts(&dec, query.liberal_count(), &b, &mut oracle)
         });
     });

@@ -1,74 +1,62 @@
-//! P3 — relational-algebra micro-benchmarks: the flat arena-backed
-//! [`epq_relalg::Relation`] against the seed nested-`Vec` layout
-//! ([`epq_bench::naive::NaiveRelation`]) on identical inputs, per
-//! primitive (join / project / union) and cardinality.
-//!
-//! The `experiments` binary's `P3` gate measures the same workloads
-//! with agreement checks and writes `BENCH_relalg.json`; this suite is
-//! the statistically-rigorous criterion view of the same comparison.
+//! Relational-algebra micro-benchmarks: the flat arena-backed
+//! [`epq_relalg::Relation`] per primitive (join / project / union) and
+//! cardinality, on seeded random rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epq_bench::naive::NaiveRelation;
-use epq_bench::{p3_join_pair, p3_rows};
 use epq_relalg::Relation;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-fn join_layouts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("P3/join");
+/// `n` seeded random rows over `schema`, column `c` drawn uniformly
+/// from `0..vals[c]`.
+fn relation(seed: u64, schema: &[u32], n: usize, vals: &[u32]) -> Relation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = (0..n)
+        .map(|_| vals.iter().map(|&v| rng.gen_range(0..v.max(1))).collect())
+        .collect();
+    Relation::new(schema.to_vec(), rows)
+}
+
+fn join(c: &mut Criterion) {
+    // R(0,1) ⋈ S(1,2) over a shared-column domain of 211 values: about
+    // n²/211 output rows, so the join inner loop dominates the scan.
+    let mut group = c.benchmark_group("relalg/join");
     group.sample_size(10);
     for n in [512usize, 2048, 8192] {
-        let ((rs, rr), (ss, sr)) = p3_join_pair(n);
-        let flat_r = Relation::new(rs.clone(), rr.clone());
-        let flat_s = Relation::new(ss.clone(), sr.clone());
-        let naive_r = NaiveRelation::new(rs, rr);
-        let naive_s = NaiveRelation::new(ss, sr);
+        let wide = (n as u32 / 4).max(1);
+        let r = relation(1000 + n as u64, &[0, 1], n, &[wide, 211]);
+        let s = relation(2000 + n as u64, &[1, 2], n, &[211, 61]);
         group.bench_with_input(BenchmarkId::new("flat", n), &n, |b, _| {
-            b.iter(|| flat_r.join(&flat_s));
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| naive_r.join(&naive_s));
+            b.iter(|| r.join(&s, 1));
         });
     }
     group.finish();
 }
 
-fn project_layouts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("P3/project");
+fn project(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relalg/project");
     group.sample_size(10);
     for n in [2048usize, 8192, 32768] {
-        let schema = vec![0u32, 1, 2, 3];
-        let rows = p3_rows(31 + n as u64, n, &[97, 89, 7, 5]);
-        let flat = Relation::new(schema.clone(), rows.clone());
-        let naive = NaiveRelation::new(schema, rows);
+        let r = relation(31 + n as u64, &[0, 1, 2, 3], n, &[97, 89, 7, 5]);
         group.bench_with_input(BenchmarkId::new("flat", n), &n, |b, _| {
-            b.iter(|| flat.project(&[3, 1]));
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| naive.project(&[3, 1]));
+            b.iter(|| r.project(&[3, 1]));
         });
     }
     group.finish();
 }
 
-fn union_layouts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("P3/union");
+fn union(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relalg/union");
     group.sample_size(10);
     for n in [2048usize, 8192, 32768] {
-        let schema = vec![0u32, 1];
-        let left = p3_rows(77 + n as u64, n, &[251, 127]);
-        let right = p3_rows(78 + n as u64, n, &[251, 127]);
-        let flat_l = Relation::new(schema.clone(), left.clone());
-        let flat_r = Relation::new(schema.clone(), right.clone());
-        let naive_l = NaiveRelation::new(schema.clone(), left);
-        let naive_r = NaiveRelation::new(schema, right);
+        let l = relation(77 + n as u64, &[0, 1], n, &[251, 127]);
+        let r = relation(78 + n as u64, &[0, 1], n, &[251, 127]);
         group.bench_with_input(BenchmarkId::new("flat", n), &n, |b, _| {
-            b.iter(|| flat_l.union(&flat_r));
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| naive_l.union(&naive_r));
+            b.iter(|| l.union(&r));
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, join_layouts, project_layouts, union_layouts);
+criterion_group!(benches, join, project, union);
 criterion_main!(benches);

@@ -14,14 +14,12 @@
 //! This library holds the shared workload builders and measurement
 //! helpers used by both.
 
-pub mod naive;
-
 use epq_counting::engines::PpCountingEngine;
 use epq_logic::query::infer_signature;
 use epq_logic::{PpFormula, Query};
 use epq_structures::Structure;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::time::Instant;
 
 /// Builds the pp view of a query against its inferred signature.
@@ -43,43 +41,20 @@ pub fn time_us(runs: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times one engine on one (query, structure) pair, returning (count,
-/// median µs).
+/// Times one engine on one (query, structure) pair at up to `threads`
+/// workers, returning (count, median µs).
 pub fn time_engine(
     engine: &dyn PpCountingEngine,
     pp: &PpFormula,
     b: &Structure,
+    threads: usize,
     runs: usize,
 ) -> (String, f64) {
-    let count = engine.count(pp, b);
+    let count = engine.count_threaded(pp, b, threads);
     let us = time_us(runs, || {
-        let _ = engine.count(pp, b);
+        let _ = engine.count_threaded(pp, b, threads);
     });
     (count.to_string(), us)
-}
-
-/// Deterministic random rows for the `P3` layout comparison: `n` rows,
-/// column `c` drawn uniformly from `0..vals[c]`. Both layouts (the
-/// flat arena and the [`naive`] seed baseline) are built from one call's
-/// output, so they measure and agree on identical inputs.
-pub fn p3_rows(seed: u64, n: usize, vals: &[u32]) -> Vec<Vec<u32>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| vals.iter().map(|&v| rng.gen_range(0..v.max(1))).collect())
-        .collect()
-}
-
-/// The `P3` join-heavy pair: `R(0,1) ⋈ S(1,2)` with `n` rows per side
-/// and a shared-column domain of 211 values, so the expected output is
-/// about `n²/211` rows — enough matches that the join inner loop, not
-/// the scan, dominates.
-#[allow(clippy::type_complexity)]
-pub fn p3_join_pair(n: usize) -> ((Vec<u32>, Vec<Vec<u32>>), (Vec<u32>, Vec<Vec<u32>>)) {
-    let wide = (n as u32 / 4).max(1);
-    (
-        (vec![0, 1], p3_rows(1000 + n as u64, n, &[wide, 211])),
-        (vec![1, 2], p3_rows(2000 + n as u64, n, &[211, 61])),
-    )
 }
 
 /// The `P4` streaming workload: a bulk seed phase into `E` (one
@@ -118,8 +93,9 @@ pub fn p4_stream_log(
 }
 
 /// Replays `log` through incremental maintenance
-/// (`epq_core::incremental::LiveCount`, up to `threads` workers under
-/// the maintainer's joins), returning the checkpoint counts.
+/// (`epq_core::incremental::LiveCount`, on a query prepared with
+/// `PreparedQuery::with_threads(threads)`), returning the checkpoint
+/// counts.
 pub fn stream_incremental(
     query: &epq_logic::Query,
     log: &epq_structures::live::StreamLog,
@@ -128,10 +104,10 @@ pub fn stream_incremental(
 ) -> Vec<epq_bigint::Natural> {
     let prepared = epq_core::prepared::PreparedQuery::prepare_uncached(query, &log.signature)
         .expect("query prepares")
-        .with_engine(engine());
-    let mut live = epq_core::incremental::LiveCount::new(prepared, log.open())
-        .expect("signatures match")
+        .with_engine(engine())
         .with_threads(threads);
+    let mut live =
+        epq_core::incremental::LiveCount::new(prepared, log.open()).expect("signatures match");
     log.ops.iter().filter_map(|op| live.apply(op)).collect()
 }
 
@@ -214,7 +190,7 @@ mod tests {
         let q = queries::path_query(2);
         let pp = pp_of(&q);
         let b = data::path_structure(5);
-        let (count, _) = time_engine(&epq_counting::engines::FptEngine, &pp, &b, 2);
+        let (count, _) = time_engine(&epq_counting::engines::FptEngine, &pp, &b, 2, 2);
         assert_eq!(count, "3");
     }
 

@@ -15,9 +15,11 @@
 //! algorithm by default), which is what makes the whole pipeline FPT when
 //! `φ⁺` satisfies the tractability condition.
 
+use crate::iex::signed_sum;
 use crate::plus::PlusDecomposition;
 use crate::prepared::PreparedQuery;
-use epq_bigint::{Integer, Natural};
+use epq_bigint::Natural;
+use epq_counting::brute::universe_power;
 use epq_counting::engines::PpCountingEngine;
 use epq_logic::query::LogicError;
 use epq_logic::Query;
@@ -34,31 +36,26 @@ pub fn sentence_holds(theta: &epq_logic::PpFormula, b: &Structure) -> bool {
     hom::homomorphism_exists(theta.structure(), b)
 }
 
-/// Counts `|φ(B)|` using a precomputed [`PlusDecomposition`].
+/// Counts `|φ(B)|` using a precomputed [`PlusDecomposition`], running
+/// each kept `φ*` term through `engine` on up to `threads` workers.
 pub fn count_ep_with(
     decomposition: &PlusDecomposition,
     liberal_count: usize,
     b: &Structure,
     engine: &dyn PpCountingEngine,
+    threads: usize,
 ) -> Natural {
     for theta in &decomposition.sentences {
         if sentence_holds(theta, b) {
-            return Natural::from(b.universe_size()).pow(liberal_count as u32);
+            return universe_power(b, liberal_count);
         }
     }
     // No sentence disjunct holds: terms outside φ⁻_af count 0. The
     // membership mask is precomputed at decomposition time, so this
     // per-structure hot path allocates nothing per call.
-    let mut acc = Integer::zero();
-    for (term, &kept) in decomposition.star_af.iter().zip(&decomposition.kept) {
-        if !kept {
-            continue;
-        }
-        let count = Integer::from(engine.count(&term.formula, b));
-        acc += &(&term.coefficient * &count);
-    }
-    assert!(!acc.is_negative(), "ep count must be non-negative");
-    acc.into_magnitude()
+    signed_sum(decomposition.kept_terms(), |_, formula| {
+        engine.count_threaded(formula, b, threads)
+    })
 }
 
 /// Counts `|φ(B)|` for an arbitrary ep-query: the paper's counting

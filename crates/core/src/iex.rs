@@ -92,24 +92,37 @@ pub fn star(disjuncts: &[PpFormula]) -> Vec<SignedPp> {
     merge_terms(inclusion_exclusion_terms(disjuncts))
 }
 
-/// Evaluates the signed sum `Σ cᵢ·|φᵢ(B)|` with the given engine. The
-/// result of a `φ*` evaluation is a count, hence non-negative; this is
-/// asserted.
-pub fn evaluate_signed_sum(
-    terms: &[SignedPp],
-    b: &Structure,
-    engine: &dyn PpCountingEngine,
+/// Evaluates the signed sum `Σ cᵢ·|φᵢ(B)|`, with `count(i, φᵢ)`
+/// supplying each `|φᵢ(B)|` (`i` is the index `terms` yields with the
+/// term). Every `φ*` evaluation in the workspace — one-shot counting,
+/// incremental maintenance, and [`evaluate_signed_sum`] — goes through
+/// here. The result is a count, hence non-negative; this is asserted.
+pub fn signed_sum<'a>(
+    terms: impl IntoIterator<Item = (usize, &'a SignedPp)>,
+    mut count: impl FnMut(usize, &'a PpFormula) -> Natural,
 ) -> Natural {
     let mut acc = Integer::zero();
-    for term in terms {
-        let count = Integer::from(engine.count(&term.formula, b));
-        acc += &(&term.coefficient * &count);
+    for (i, term) in terms {
+        let n = Integer::from(count(i, &term.formula));
+        acc += &(&term.coefficient * &n);
     }
     assert!(
         !acc.is_negative(),
         "signed φ* sum must be a count (got {acc})"
     );
     acc.into_magnitude()
+}
+
+/// Evaluates the signed sum `Σ cᵢ·|φᵢ(B)|` with the given engine (see
+/// [`signed_sum`]).
+pub fn evaluate_signed_sum(
+    terms: &[SignedPp],
+    b: &Structure,
+    engine: &dyn PpCountingEngine,
+) -> Natural {
+    signed_sum(terms.iter().enumerate(), |_, formula| {
+        engine.count(formula, b)
+    })
 }
 
 #[cfg(test)]

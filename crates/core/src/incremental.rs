@@ -24,10 +24,14 @@
 //!   [`epq_relalg::ScanCache`]: only atoms over dirty relations
 //!   rescan, the joins replay on mostly-cached inputs;
 //! * **the DP-table fallback** — for every other engine (`fpt`,
-//!   `hom-dp`, the brute enumerators) a dirty relation feeds DP
-//!   tables or enumeration state that cannot be patched, so each
-//!   *affected* term is fully recounted through the engine (clean
-//!   terms still come from the cache).
+//!   `hom-dp`, `brute-force`) a dirty relation feeds DP tables or
+//!   enumeration state that cannot be patched, so each *affected* term
+//!   is fully recounted through the engine (clean terms still come
+//!   from the cache).
+//!
+//! Both paths run on up to the prepared query's
+//! [`PreparedQuery::threads`] workers; `LiveCount` has no thread
+//! setting of its own.
 //!
 //! Reconciliation is **lazy**: inserts only flip dirty bits, and the
 //! affected pieces recompute once per [`LiveCount::current`] call, not
@@ -38,8 +42,10 @@
 //! proptests, and the `P4` experiment gate).
 
 use crate::count::sentence_holds;
+use crate::iex::signed_sum;
 use crate::prepared::PreparedQuery;
-use epq_bigint::{Integer, Natural};
+use epq_bigint::Natural;
+use epq_counting::brute::universe_power;
 use epq_logic::PpFormula;
 use epq_relalg::{count_pp_cached, ScanCache};
 use epq_structures::{LiveStructure, RelId, StreamOp, Structure};
@@ -84,8 +90,6 @@ pub struct LiveCountStats {
 pub struct LiveCount {
     prepared: PreparedQuery,
     live: LiveStructure,
-    /// Worker cap for the cached relational-algebra joins.
-    threads: usize,
     /// Affected terms re-evaluate through [`ScanCache`]d relational
     /// algebra iff the prepared engine is scan-based; otherwise each
     /// one is fully recounted by that engine.
@@ -142,7 +146,6 @@ impl LiveCount {
         Ok(LiveCount {
             prepared,
             live,
-            threads: 1,
             cached_relalg,
             sentence_true: vec![None; sentences],
             sentence_reads,
@@ -152,14 +155,6 @@ impl LiveCount {
             total: None,
             stats: LiveCountStats::default(),
         })
-    }
-
-    /// Caps the worker threads of the cached relational-algebra joins
-    /// (ignored on the engine-fallback path, whose engines carry their
-    /// own thread configuration). Counts are identical at every cap.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The prepared query.
@@ -241,7 +236,6 @@ impl LiveCount {
         let Self {
             ref prepared,
             ref live,
-            threads,
             cached_relalg,
             ref mut sentence_true,
             ref sentence_reads,
@@ -252,6 +246,7 @@ impl LiveCount {
             ..
         } = *self;
         let dec = prepared.decomposition();
+        let threads = prepared.threads();
         let b = live.snapshot();
 
         // Sentence disjuncts: latch truth, recheck the false ones only
@@ -277,33 +272,26 @@ impl LiveCount {
             // A sentence disjunct holds (and, by monotonicity, always
             // will): every assignment satisfies φ. The stale term
             // caches are unreachable from now on.
-            Natural::from(b.universe_size()).pow(prepared.liberal_count() as u32)
+            universe_power(b, prepared.liberal_count())
         } else {
             // The signed φ*_af sum over the kept terms, recounting
             // exactly the terms that read a dirty relation.
-            let mut acc = Integer::zero();
-            for (i, term) in dec.star_af.iter().enumerate() {
-                if !dec.kept[i] {
-                    continue;
-                }
+            signed_sum(dec.kept_terms(), |i, formula| {
                 let stale = term_counts[i].is_none() || reads_any(&term_reads[i], &dirty);
                 if stale {
                     stats.term_recounts += 1;
                     let count = if cached_relalg {
-                        count_pp_cached(&term.formula, b, scans, threads)
+                        count_pp_cached(formula, b, scans, threads)
                     } else {
                         stats.engine_fallbacks += 1;
-                        prepared.engine().count(&term.formula, b)
+                        prepared.engine().count_threaded(formula, b, threads)
                     };
                     term_counts[i] = Some(count);
                 } else {
                     stats.term_reuses += 1;
                 }
-                let count = term_counts[i].as_ref().expect("just reconciled");
-                acc += &(&term.coefficient * &Integer::from(count.clone()));
-            }
-            assert!(!acc.is_negative(), "ep count must be non-negative");
-            acc.into_magnitude()
+                term_counts[i].clone().expect("just reconciled")
+            })
         };
         self.live.clear_dirty();
         self.total = Some(total.clone());
@@ -321,7 +309,7 @@ impl LiveCount {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epq_counting::engines::{BruteForceEngine, RelalgEngine};
+    use epq_counting::engines::{BruteForceEngine, FptEngine, PpCountingEngine, RelalgEngine};
     use epq_logic::parser::parse_query;
     use epq_logic::query::infer_signature;
     use epq_structures::Signature;
@@ -473,9 +461,10 @@ mod tests {
             ("E", &[2, 2]),
             ("F", &[0, 0]),
         ];
-        let reference: Vec<Natural> = {
-            let prepared =
-                prepare("(x, y) := (E(x,y) & E(y,x)) | F(x,y)").with_engine(Box::new(RelalgEngine));
+        let replay = |engine: Box<dyn PpCountingEngine>, threads: usize| -> Vec<Natural> {
+            let prepared = prepare("(x, y) := (E(x,y) & E(y,x)) | F(x,y)")
+                .with_engine(engine)
+                .with_threads(threads);
             let live = live_for(&prepared, 3);
             let mut lc = LiveCount::new(prepared, live).unwrap();
             inserts
@@ -486,21 +475,12 @@ mod tests {
                 })
                 .collect()
         };
-        for threads in [2usize, 4] {
-            let prepared =
-                prepare("(x, y) := (E(x,y) & E(y,x)) | F(x,y)").with_engine(Box::new(RelalgEngine));
-            let live = live_for(&prepared, 3);
-            let mut lc = LiveCount::new(prepared, live)
-                .unwrap()
-                .with_threads(threads);
-            let got: Vec<Natural> = inserts
-                .iter()
-                .map(|(name, t)| {
-                    lc.insert_tuple_named(name, t);
-                    lc.current()
-                })
-                .collect();
-            assert_eq!(got, reference, "threads {threads}");
+        let reference = replay(Box::new(RelalgEngine), 1);
+        for threads in [1usize, 2, 4] {
+            // Cached relalg joins and the engine fallback both read the
+            // prepared cap.
+            assert_eq!(replay(Box::new(RelalgEngine), threads), reference);
+            assert_eq!(replay(Box::new(FptEngine), threads), reference);
         }
     }
 

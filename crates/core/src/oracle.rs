@@ -438,7 +438,8 @@ mod tests {
         let mut b = Structure::new(sig.clone(), 4);
         b.add_tuple_named("E", &[0, 1]);
         b.add_tuple_named("E", &[2, 3]);
-        let mut oracle = |d: &Structure| count_ep_with(&dec, query.liberal_count(), d, &FptEngine);
+        let mut oracle =
+            |d: &Structure| count_ep_with(&dec, query.liberal_count(), d, &FptEngine, 1);
         let recovered = recover_plus_counts(&dec, query.liberal_count(), &b, &mut oracle);
         assert_eq!(recovered.len(), 2);
         for (formula, count) in &recovered {
@@ -447,7 +448,8 @@ mod tests {
 
         // Structure with a 3-path: θ1 true, |θ1(B)| = |B|^4.
         let b2 = example_c();
-        let mut oracle2 = |d: &Structure| count_ep_with(&dec, query.liberal_count(), d, &FptEngine);
+        let mut oracle2 =
+            |d: &Structure| count_ep_with(&dec, query.liberal_count(), d, &FptEngine, 1);
         let recovered2 = recover_plus_counts(&dec, query.liberal_count(), &b2, &mut oracle2);
         for (formula, count) in &recovered2 {
             assert_eq!(*count, count_pp_brute(formula, &b2), "{formula}");

@@ -45,16 +45,19 @@ pub struct PlusDecomposition {
 }
 
 impl PlusDecomposition {
-    /// Indices into `star_af` of the formulas in `φ⁻_af` (those that
-    /// do not entail any sentence disjunct), derived from
-    /// [`PlusDecomposition::kept`].
-    pub fn minus_af(&self) -> Vec<usize> {
-        self.kept
+    /// The `φ*_af` terms in `φ⁻_af` (those that do not entail any
+    /// sentence disjunct) with their indices into `star_af`, derived
+    /// from [`PlusDecomposition::kept`] without allocating.
+    pub fn kept_terms(&self) -> impl Iterator<Item = (usize, &SignedPp)> + '_ {
+        self.star_af
             .iter()
             .enumerate()
-            .filter(|(_, &k)| k)
-            .map(|(i, _)| i)
-            .collect()
+            .filter(|(i, _)| self.kept[*i])
+    }
+
+    /// Indices into `star_af` of the formulas in `φ⁻_af`.
+    pub fn minus_af(&self) -> Vec<usize> {
+        self.kept_terms().map(|(i, _)| i).collect()
     }
 
     /// The formulas of `φ⁻_af`.

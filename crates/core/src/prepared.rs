@@ -13,11 +13,12 @@
 //!   canonical form**, so repeated preparation of α-equivalent or
 //!   reordered queries is a hash lookup;
 //! * [`PreparedQuery::count`] / [`PreparedQuery::count_with`] run only
-//!   the per-structure phase;
+//!   the per-structure phase, with the engine capped at the prepared
+//!   thread count ([`PreparedQuery::with_threads`], default 1);
 //! * [`count_ep_batch`] / [`PreparedQuery::count_batch`] fan the
 //!   per-structure phase across the shared `epq-pool` workers, one job
 //!   per structure, results in input order and **bit-identical** to a
-//!   sequential loop (each job is the sequential per-structure
+//!   sequential loop (each job is the single-threaded per-structure
 //!   algorithm; the pool only schedules which worker runs it);
 //! * [`PreparedQuery::analysis`] computes the trichotomy width measures
 //!   **lazily** and shares them through the same cache entry — counting
@@ -130,13 +131,15 @@ pub fn classifier_cache_clear() {
 }
 
 /// An ep-query with its whole per-query phase precomputed: parsed
-/// query, `φ⁺` decomposition, (lazily) the trichotomy analysis, and a
-/// chosen counting engine. See the [module docs](self).
+/// query, `φ⁺` decomposition, (lazily) the trichotomy analysis, a
+/// chosen counting engine, and the worker cap that engine runs under.
+/// See the [module docs](self).
 pub struct PreparedQuery {
     query: Query,
     signature: Signature,
     entry: Arc<PreparedEntry>,
     engine: Box<dyn PpCountingEngine>,
+    threads: usize,
     cache_hit: bool,
 }
 
@@ -224,6 +227,7 @@ impl PreparedQuery {
             signature: signature.clone(),
             entry,
             engine: Box::new(FptEngine),
+            threads: 1,
             cache_hit,
         }
     }
@@ -233,6 +237,20 @@ impl PreparedQuery {
     pub fn with_engine(mut self, engine: Box<dyn PpCountingEngine>) -> Self {
         self.engine = engine;
         self
+    }
+
+    /// Caps the worker threads of every single-structure count
+    /// ([`PreparedQuery::count`], [`PreparedQuery::count_with`], and
+    /// `LiveCount` maintenance) at `threads` (default 1; 0 means 1).
+    /// Counts are identical at every cap.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// The worker cap set by [`PreparedQuery::with_threads`].
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The parsed query.
@@ -285,33 +303,36 @@ impl PreparedQuery {
     }
 
     /// Counts `|φ(B)|` with the prepared engine (per-structure phase
-    /// only).
+    /// only) on up to [`PreparedQuery::threads`] workers.
     pub fn count(&self, b: &Structure) -> Natural {
         self.count_with(b, self.engine.as_ref())
     }
 
-    /// Counts `|φ(B)|` with an explicit engine.
+    /// Counts `|φ(B)|` with an explicit engine on up to
+    /// [`PreparedQuery::threads`] workers.
     pub fn count_with(&self, b: &Structure, engine: &dyn PpCountingEngine) -> Natural {
         count_ep_with(
             &self.entry.decomposition,
             self.query.liberal_count(),
             b,
             engine,
+            self.threads,
         )
     }
 
     /// Counts `|φ(Bᵢ)|` for every structure, fanning one job per
-    /// structure across up to `threads` pool workers. Results come back
-    /// in input order and are bit-identical to a sequential
-    /// [`PreparedQuery::count`] loop at every thread count (each job
-    /// *is* that sequential per-structure computation).
+    /// structure across up to `threads` pool workers. Each job runs the
+    /// engine on one thread, whatever [`PreparedQuery::threads`] says,
+    /// so the batch never nests engine workers inside the fan-out.
+    /// Results come back in input order and are bit-identical to a
+    /// [`PreparedQuery::count`] loop at every thread count.
     pub fn count_batch(&self, structures: &[Structure], threads: usize) -> Vec<Natural> {
         let decomposition = &self.entry.decomposition;
         let liberal_count = self.query.liberal_count();
         let engine = self.engine.as_ref();
         let jobs: Vec<_> = structures
             .iter()
-            .map(|b| move || count_ep_with(decomposition, liberal_count, b, engine))
+            .map(|b| move || count_ep_with(decomposition, liberal_count, b, engine, 1))
             .collect();
         epq_pool::run_jobs(threads.max(1), jobs)
     }
@@ -566,6 +587,44 @@ mod tests {
             );
         }
         assert_eq!(count_ep_batch(&p, &structures), sequential);
+    }
+
+    /// Records the `threads` argument of every engine call.
+    struct RecordingEngine(Arc<Mutex<Vec<usize>>>);
+
+    impl PpCountingEngine for RecordingEngine {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
+            self.0.lock().unwrap().push(threads);
+            BruteForceEngine.count(pp, b)
+        }
+    }
+
+    #[test]
+    fn engines_see_the_prepared_cap_and_one_thread_per_batch_job() {
+        let _guard = test_lock();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let p = prepare_text("(x, y) := E(x,y) | E(y,x)")
+            .with_engine(Box::new(RecordingEngine(Arc::clone(&seen))))
+            .with_threads(3);
+        assert_eq!(p.threads(), 3);
+        let expected = p.count_with(&example_c(), &BruteForceEngine);
+        assert_eq!(p.count(&example_c()), expected);
+        let single = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(
+            !single.is_empty() && single.iter().all(|&t| t == 3),
+            "{single:?}"
+        );
+        let batch = vec![example_c(); 5];
+        assert_eq!(p.count_batch(&batch, 4), vec![expected; 5]);
+        let batched = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(
+            !batched.is_empty() && batched.iter().all(|&t| t == 1),
+            "{batched:?}"
+        );
     }
 
     #[test]

@@ -87,7 +87,7 @@ proptest! {
         let dec = plus_decomposition(&query, &sig).unwrap();
         let b = data::random_digraph(&mut StdRng::seed_from_u64(sseed), 2, 0.5);
         let mut oracle_fn = |d: &epq_structures::Structure| {
-            count_ep_with(&dec, query.liberal_count(), d, &FptEngine)
+            count_ep_with(&dec, query.liberal_count(), d, &FptEngine, 1)
         };
         let recovered =
             oracle::recover_plus_counts(&dec, query.liberal_count(), &b, &mut oracle_fn);
@@ -137,9 +137,9 @@ proptest! {
     /// The streaming tentpole invariant: after **every** checkpoint of
     /// a random insert sequence, `LiveCount::current` equals a
     /// from-scratch `PreparedQuery::count` on the same snapshot — for
-    /// the cached-relalg maintenance path at 1/2/4 worker threads and
-    /// for the DP-table fallback path, with a brute-force cross-check
-    /// on the final structure.
+    /// the cached-relalg maintenance path and for the DP-table (fpt)
+    /// fallback path, each at 1/2/4 prepared worker threads, with a
+    /// brute-force cross-check on the final structure.
     #[test]
     fn live_count_agrees_with_recount_after_random_inserts(
         qseed in 0u64..10_000,
@@ -164,22 +164,22 @@ proptest! {
             &[e_weight, 1],
         );
 
-        // Maintenance configurations: cached relational algebra at
-        // three thread caps, plus the DP-table (fpt) fallback.
-        let mut maintainers: Vec<LiveCount> = [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                let prepared = PreparedQuery::prepare_uncached(&query, &sig)
+        // Maintenance configurations: cached relational algebra, then
+        // the DP-table (fpt) fallback, each at three thread caps.
+        let mut maintainers: Vec<LiveCount> = Vec::new();
+        for relalg in [true, false] {
+            for threads in [1usize, 2, 4] {
+                let mut prepared = PreparedQuery::prepare_uncached(&query, &sig)
                     .unwrap()
-                    .with_engine(Box::new(RelalgEngine));
-                LiveCount::new(prepared, log.open()).unwrap().with_threads(threads)
-            })
-            .collect();
-        maintainers.push({
-            let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
-            LiveCount::new(prepared, log.open()).unwrap()
-        });
-        prop_assert!(!maintainers.last().unwrap().uses_cached_relalg());
+                    .with_threads(threads);
+                if relalg {
+                    prepared = prepared.with_engine(Box::new(RelalgEngine));
+                }
+                let m = LiveCount::new(prepared, log.open()).unwrap();
+                prop_assert_eq!(m.uses_cached_relalg(), relalg);
+                maintainers.push(m);
+            }
+        }
 
         for op in &log.ops {
             let counts: Vec<_> = maintainers

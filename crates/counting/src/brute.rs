@@ -175,7 +175,7 @@ pub fn count_pp_brute_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natu
     if threads <= 1 || total < 2 {
         return count_pp_brute(pp, b);
     }
-    let shards = crate::pool::split_ranges(total, threads.saturating_mul(4));
+    let shards = epq_pool::split_ranges(total, threads.saturating_mul(4));
     let jobs: Vec<_> = shards
         .into_iter()
         .map(|(start, end)| {
@@ -192,7 +192,7 @@ pub fn count_pp_brute_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natu
         })
         .collect();
     let mut acc = Natural::zero();
-    for partial in crate::pool::run_jobs(threads, jobs) {
+    for partial in epq_pool::run_jobs(threads, jobs) {
         acc += &partial;
     }
     acc

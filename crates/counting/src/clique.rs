@@ -194,8 +194,11 @@ mod tests {
         );
         // And through the FPT engine (which just runs the generic
         // algorithm — tractability is not required for correctness).
-        assert_eq!(crate::fpt::count_pp_fpt(&theta, &b_yes).to_u64(), Some(1));
-        assert_eq!(crate::fpt::count_pp_fpt(&theta, &b_no).to_u64(), Some(0));
+        assert_eq!(
+            crate::fpt::count_pp_fpt(&theta, &b_yes, 1).to_u64(),
+            Some(1)
+        );
+        assert_eq!(crate::fpt::count_pp_fpt(&theta, &b_no, 1).to_u64(), Some(0));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! iterates a `HashMap`/`HashSet` whose order could differ between runs.
 //! (The `allowed` sets of [`CspConstraint`] are packed, sorted
 //! [`TupleSet`]s used purely for membership tests.) This matters
-//! for the parallel entry point [`TdCounter::count_par`]: its shard
+//! for the threaded DP of [`TdCounter::count`]: its shard
 //! boundaries are contiguous chunks of the sorted tables, so they are
 //! identical run to run and the parallel counts are reproducible across
 //! runs and thread counts.
@@ -130,18 +130,13 @@ impl TdCounter {
         self.nice.width()
     }
 
-    /// Counts satisfying assignments with the given variables pinned.
-    pub fn count(&self, pins: &[(u32, u32)]) -> Natural {
-        self.count_with_threads(pins, 1)
-    }
-
     /// Whether any satisfying assignment exists under the pins.
     pub fn satisfiable(&self, pins: &[(u32, u32)]) -> bool {
-        !self.count(pins).is_zero()
+        !self.count(pins, 1).is_zero()
     }
 
-    /// Counts satisfying assignments with the given pins, sharding the
-    /// DP across up to `threads` threads.
+    /// Counts satisfying assignments with the given variables pinned,
+    /// sharding the DP across up to `threads` threads (`1` runs inline).
     ///
     /// Parallelism is *within* each node of the tree-decomposition DP:
     /// a node's table is built by splitting its source table into
@@ -151,14 +146,11 @@ impl TdCounter {
     /// entries at forget nodes; see [`crate::table`]). Total work is
     /// therefore exactly the sequential DP's, chunk boundaries are
     /// deterministic, and the merged sums are order-insensitive, so the
-    /// result equals [`TdCounter::count`] bit for bit at every thread
-    /// count. Nodes whose tables are below [`PAR_NODE_THRESHOLD`] run
-    /// inline — small tables are not worth a scope spawn.
-    pub fn count_par(&self, pins: &[(u32, u32)], threads: usize) -> Natural {
-        self.count_with_threads(pins, threads.max(1))
-    }
-
-    fn count_with_threads(&self, pins: &[(u32, u32)], threads: usize) -> Natural {
+    /// result is bit-identical at every thread count. Nodes whose
+    /// tables are below [`PAR_NODE_THRESHOLD`] run inline — small
+    /// tables are not worth a scope spawn.
+    pub fn count(&self, pins: &[(u32, u32)], threads: usize) -> Natural {
+        let threads = threads.max(1);
         let mut pinned: Vec<Option<u32>> = vec![None; self.variables];
         for &(v, x) in pins {
             assert!((v as usize) < self.variables, "pin variable out of range");
@@ -312,17 +304,10 @@ pub fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
 
 /// Counts homomorphisms `a → b` by the tree-decomposition DP
 /// (the Dalmau–Jonsson algorithm when `a`'s Gaifman graph has bounded
-/// treewidth). Exact for every input; efficient when the treewidth is
-/// small.
-pub fn count_homs_td(a: &Structure, b: &Structure) -> Natural {
-    TdCounter::new(a.universe_size(), b.universe_size(), hom_constraints(a, b)).count(&[])
-}
-
-/// Like [`count_homs_td`], but shards the DP across up to `threads`
-/// threads (see [`TdCounter::count_par`]).
-pub fn count_homs_td_par(a: &Structure, b: &Structure, threads: usize) -> Natural {
-    TdCounter::new(a.universe_size(), b.universe_size(), hom_constraints(a, b))
-        .count_par(&[], threads)
+/// treewidth) on up to `threads` threads (see [`TdCounter::count`]).
+/// Exact for every input; efficient when the treewidth is small.
+pub fn count_homs_td(a: &Structure, b: &Structure, threads: usize) -> Natural {
+    TdCounter::new(a.universe_size(), b.universe_size(), hom_constraints(a, b)).count(&[], threads)
 }
 
 #[cfg(test)]
@@ -351,23 +336,26 @@ mod tests {
     #[test]
     fn unconstrained_counting_is_domain_power() {
         let counter = TdCounter::new(3, 4, Vec::new());
-        assert_eq!(counter.count(&[]).to_u64(), Some(64));
-        assert_eq!(counter.count(&[(0, 1)]).to_u64(), Some(16));
-        assert_eq!(counter.count(&[(0, 1), (1, 2), (2, 3)]).to_u64(), Some(1));
+        assert_eq!(counter.count(&[], 1).to_u64(), Some(64));
+        assert_eq!(counter.count(&[(0, 1)], 1).to_u64(), Some(16));
+        assert_eq!(
+            counter.count(&[(0, 1), (1, 2), (2, 3)], 1).to_u64(),
+            Some(1)
+        );
     }
 
     #[test]
     fn contradictory_pins_give_zero() {
         let counter = TdCounter::new(2, 3, Vec::new());
-        assert_eq!(counter.count(&[(0, 1), (0, 2)]).to_u64(), Some(0));
+        assert_eq!(counter.count(&[(0, 1), (0, 2)], 1).to_u64(), Some(0));
     }
 
     #[test]
     fn single_constraint_counts_allowed_tuples() {
         let c = constraint(&[0, 1], &[&[0, 1], &[1, 2], &[2, 0]]);
         let counter = TdCounter::new(2, 3, vec![c]);
-        assert_eq!(counter.count(&[]).to_u64(), Some(3));
-        assert_eq!(counter.count(&[(0, 1)]).to_u64(), Some(1));
+        assert_eq!(counter.count(&[], 1).to_u64(), Some(3));
+        assert_eq!(counter.count(&[(0, 1)], 1).to_u64(), Some(1));
     }
 
     #[test]
@@ -379,10 +367,13 @@ mod tests {
             .map(|i| CspConstraint::new(vec![i, i + 1], allowed.clone()))
             .collect();
         let counter = TdCounter::new(5, 4, constraints.clone());
-        assert_eq!(counter.count(&[]), count_csp_brute(5, 4, &constraints, &[]));
-        assert_eq!(counter.count(&[]).to_u64(), Some(4));
         assert_eq!(
-            counter.count(&[(2, 3)]),
+            counter.count(&[], 1),
+            count_csp_brute(5, 4, &constraints, &[])
+        );
+        assert_eq!(counter.count(&[], 1).to_u64(), Some(4));
+        assert_eq!(
+            counter.count(&[(2, 3)], 1),
             count_csp_brute(5, 4, &constraints, &[(2, 3)])
         );
     }
@@ -400,8 +391,11 @@ mod tests {
             CspConstraint::new(vec![0, 2], diff.clone()),
         ];
         let counter = TdCounter::new(3, 3, constraints.clone());
-        assert_eq!(counter.count(&[]).to_u64(), Some(6));
-        assert_eq!(counter.count(&[]), count_csp_brute(3, 3, &constraints, &[]));
+        assert_eq!(counter.count(&[], 1).to_u64(), Some(6));
+        assert_eq!(
+            counter.count(&[], 1),
+            count_csp_brute(3, 3, &constraints, &[])
+        );
     }
 
     #[test]
@@ -410,7 +404,7 @@ mod tests {
         let k3 = digraph(3, &[(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]);
         let p4 = digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         for (a, b) in [(&p4, &k3), (&c4, &k3), (&p4, &c4), (&c4, &c4)] {
-            assert_eq!(count_homs_td(a, b), count_homomorphisms(a, b));
+            assert_eq!(count_homs_td(a, b, 1), count_homomorphisms(a, b));
         }
     }
 
@@ -419,7 +413,7 @@ mod tests {
         // Loop atom E(x,x): homs into C with one loop = 1.
         let loop_a = digraph(1, &[(0, 0)]);
         let c = digraph(4, &[(0, 1), (1, 2), (2, 3), (3, 3)]);
-        assert_eq!(count_homs_td(&loop_a, &c).to_u64(), Some(1));
+        assert_eq!(count_homs_td(&loop_a, &c, 1).to_u64(), Some(1));
     }
 
     #[test]
@@ -427,7 +421,7 @@ mod tests {
         // Edge + 2 isolated vertices into a 2-cycle: 2 · 2² = 8.
         let a = digraph(4, &[(0, 1)]);
         let b = digraph(2, &[(0, 1), (1, 0)]);
-        assert_eq!(count_homs_td(&a, &b).to_u64(), Some(8));
+        assert_eq!(count_homs_td(&a, &b, 1).to_u64(), Some(8));
     }
 
     #[test]
@@ -439,15 +433,15 @@ mod tests {
             a.add_tuple_named("E", &[u, v]);
         }
         let k3 = digraph(3, &[(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]);
-        assert_eq!(count_homs_td(&a, &k3), count_homomorphisms(&a, &k3));
+        assert_eq!(count_homs_td(&a, &k3, 1), count_homomorphisms(&a, &k3));
     }
 
     #[test]
     fn empty_domain() {
         let counter = TdCounter::new(2, 0, Vec::new());
-        assert_eq!(counter.count(&[]).to_u64(), Some(0));
+        assert_eq!(counter.count(&[], 1).to_u64(), Some(0));
         let trivial = TdCounter::new(0, 0, Vec::new());
-        assert_eq!(trivial.count(&[]).to_u64(), Some(1));
+        assert_eq!(trivial.count(&[], 1).to_u64(), Some(1));
     }
 
     #[test]
@@ -474,10 +468,10 @@ mod tests {
         ];
         for counter in &cases {
             for pins in [&[][..], &[(0, 1)][..], &[(1, 2), (2, 0)][..]] {
-                let expected = counter.count(pins);
-                for threads in [1usize, 2, 3, 8] {
+                let expected = counter.count(pins, 1);
+                for threads in [2usize, 3, 8] {
                     assert_eq!(
-                        counter.count_par(pins, threads),
+                        counter.count(pins, threads),
                         expected,
                         "pins {pins:?} at {threads} threads"
                     );
@@ -491,13 +485,13 @@ mod tests {
         // Domain 0 and 1, and a fully pinned instance, fall back to the
         // sequential path.
         let counter = TdCounter::new(2, 0, Vec::new());
-        assert_eq!(counter.count_par(&[], 4).to_u64(), Some(0));
+        assert_eq!(counter.count(&[], 4).to_u64(), Some(0));
         let unary = TdCounter::new(3, 1, Vec::new());
-        assert_eq!(unary.count_par(&[], 4).to_u64(), Some(1));
+        assert_eq!(unary.count(&[], 4).to_u64(), Some(1));
         let pinned = TdCounter::new(2, 3, Vec::new());
-        assert_eq!(pinned.count_par(&[(0, 1), (1, 2)], 4).to_u64(), Some(1));
+        assert_eq!(pinned.count(&[(0, 1), (1, 2)], 4).to_u64(), Some(1));
         let trivial = TdCounter::new(0, 5, Vec::new());
-        assert_eq!(trivial.count_par(&[], 4).to_u64(), Some(1));
+        assert_eq!(trivial.count(&[], 4).to_u64(), Some(1));
     }
 
     #[test]
@@ -506,9 +500,9 @@ mod tests {
         let k3 = digraph(3, &[(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]);
         let p4 = digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         for (a, b) in [(&p4, &k3), (&c4, &k3), (&p4, &c4), (&c4, &c4)] {
-            let expected = count_homs_td(a, b);
+            let expected = count_homs_td(a, b, 1);
             for threads in [2usize, 4] {
-                assert_eq!(count_homs_td_par(a, b, threads), expected);
+                assert_eq!(count_homs_td(a, b, threads), expected);
             }
         }
     }

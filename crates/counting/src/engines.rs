@@ -7,17 +7,28 @@ use epq_structures::Structure;
 
 /// An engine that computes `|φ(B)|` for prenex pp-formulas.
 ///
+/// Thread count is a call parameter, not part of the engine: every
+/// engine is a unit struct with one code path, and
+/// [`PpCountingEngine::count_threaded`] caps the workers it may use.
+/// Counts are bit-identical at every thread count.
+///
 /// Engines are `Send + Sync` so that one engine instance can serve
 /// counts for many structures concurrently (the batched counting API
 /// in `epq_core::prepared` fans a shared `&dyn PpCountingEngine`
-/// across the pool workers). All engines here are stateless or hold
-/// only a thread cap, so the bound is free.
+/// across the pool workers). All engines here are stateless, so the
+/// bound is free.
 pub trait PpCountingEngine: Send + Sync {
     /// A short display name for reports.
     fn name(&self) -> &'static str;
 
-    /// Computes `|φ(B)|`.
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural;
+    /// Computes `|φ(B)|` on up to `threads` worker threads (`1` runs
+    /// inline on the calling thread).
+    fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural;
+
+    /// Computes `|φ(B)|` on the calling thread.
+    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
+        self.count_threaded(pp, b, 1)
+    }
 
     /// Whether this engine evaluates by relational-algebra atom scans,
     /// so that an incremental maintainer
@@ -32,7 +43,9 @@ pub trait PpCountingEngine: Send + Sync {
     }
 }
 
-/// Exhaustive assignment enumeration (`O(|B|^|lib|)` hom checks).
+/// Exhaustive assignment enumeration (`O(|B|^|lib|)` hom checks). On
+/// more than one thread the flat assignment index space is split into
+/// contiguous shards ([`crate::brute::count_pp_brute_par`]).
 pub struct BruteForceEngine;
 
 impl PpCountingEngine for BruteForceEngine {
@@ -40,12 +53,17 @@ impl PpCountingEngine for BruteForceEngine {
         "brute-force"
     }
 
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
-        crate::brute::count_pp_brute(pp, b)
+    fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
+        if threads > 1 {
+            crate::brute::count_pp_brute_par(pp, b, threads)
+        } else {
+            crate::brute::count_pp_brute(pp, b)
+        }
     }
 }
 
-/// The relational-algebra engine (scan/join/project, per component).
+/// The relational-algebra engine (scan/join/project, per component;
+/// each join's probe side is sharded across the workers).
 pub struct RelalgEngine;
 
 impl PpCountingEngine for RelalgEngine {
@@ -53,8 +71,8 @@ impl PpCountingEngine for RelalgEngine {
         "relalg"
     }
 
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
-        epq_relalg::count_pp(pp, b)
+    fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
+        epq_relalg::count_pp(pp, b, threads)
     }
 
     fn scan_based(&self) -> bool {
@@ -76,11 +94,11 @@ impl PpCountingEngine for HomDpEngine {
         "hom-dp"
     }
 
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
+    fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
         if pp.quantified_names().is_empty() {
-            crate::csp::count_homs_td(pp.structure(), b)
+            crate::csp::count_homs_td(pp.structure(), b, threads)
         } else {
-            crate::fpt::count_pp_fpt(pp, b)
+            crate::fpt::count_pp_fpt(pp, b, threads)
         }
     }
 }
@@ -93,120 +111,12 @@ impl PpCountingEngine for FptEngine {
         "fpt"
     }
 
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
-        crate::fpt::count_pp_fpt(pp, b)
+    fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
+        crate::fpt::count_pp_fpt(pp, b, threads)
     }
 }
 
-/// The parallel FPT engine (`fpt-par`): the \[CM15\] algorithm with its
-/// boundary enumeration and counting DP sharded across a scoped thread
-/// pool (see [`crate::pool`]). Counts are identical to [`FptEngine`] at
-/// every thread count.
-pub struct ParFptEngine {
-    /// Maximum worker threads; 1 reproduces the sequential engine.
-    pub threads: usize,
-}
-
-impl ParFptEngine {
-    /// An engine using up to `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        ParFptEngine {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl Default for ParFptEngine {
-    /// Uses every available hardware thread.
-    fn default() -> Self {
-        ParFptEngine::new(crate::pool::available_threads())
-    }
-}
-
-impl PpCountingEngine for ParFptEngine {
-    fn name(&self) -> &'static str {
-        "fpt-par"
-    }
-
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
-        crate::fpt::count_pp_fpt_par(pp, b, self.threads)
-    }
-}
-
-/// The parallel brute-force engine (`brute-par`): exhaustive assignment
-/// enumeration with the flat index space split into contiguous shards
-/// (see [`crate::brute::count_pp_brute_par`]).
-pub struct ParBruteForceEngine {
-    /// Maximum worker threads; 1 reproduces the sequential engine.
-    pub threads: usize,
-}
-
-impl ParBruteForceEngine {
-    /// An engine using up to `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        ParBruteForceEngine {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl Default for ParBruteForceEngine {
-    /// Uses every available hardware thread.
-    fn default() -> Self {
-        ParBruteForceEngine::new(crate::pool::available_threads())
-    }
-}
-
-impl PpCountingEngine for ParBruteForceEngine {
-    fn name(&self) -> &'static str {
-        "brute-par"
-    }
-
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
-        crate::brute::count_pp_brute_par(pp, b, self.threads)
-    }
-}
-
-/// The pool-parallel relational-algebra engine (`relalg-par`): each
-/// join's outer relation is partitioned across the shared `epq-pool`
-/// workers (see [`epq_relalg::count_pp_par`]). Counts are identical to
-/// [`RelalgEngine`] at every thread count.
-pub struct ParRelalgEngine {
-    /// Maximum worker threads; 1 reproduces the sequential engine.
-    pub threads: usize,
-}
-
-impl ParRelalgEngine {
-    /// An engine using up to `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        ParRelalgEngine {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl Default for ParRelalgEngine {
-    /// Uses every available hardware thread.
-    fn default() -> Self {
-        ParRelalgEngine::new(crate::pool::available_threads())
-    }
-}
-
-impl PpCountingEngine for ParRelalgEngine {
-    fn name(&self) -> &'static str {
-        "relalg-par"
-    }
-
-    fn count(&self, pp: &PpFormula, b: &Structure) -> Natural {
-        epq_relalg::count_pp_par(pp, b, self.threads)
-    }
-
-    fn scan_based(&self) -> bool {
-        true
-    }
-}
-
-/// The sequential engines, for cross-checking loops.
+/// Every engine, for cross-checking loops.
 pub fn all_engines() -> Vec<Box<dyn PpCountingEngine>> {
     vec![
         Box::new(BruteForceEngine),
@@ -214,16 +124,6 @@ pub fn all_engines() -> Vec<Box<dyn PpCountingEngine>> {
         Box::new(HomDpEngine),
         Box::new(FptEngine),
     ]
-}
-
-/// Every engine, sequential and parallel, the parallel ones capped at
-/// `threads` workers — the full cross-checking set.
-pub fn all_engines_with_parallel(threads: usize) -> Vec<Box<dyn PpCountingEngine>> {
-    let mut engines = all_engines();
-    engines.push(Box::new(ParFptEngine::new(threads)));
-    engines.push(Box::new(ParBruteForceEngine::new(threads)));
-    engines.push(Box::new(ParRelalgEngine::new(threads)));
-    engines
 }
 
 #[cfg(test)]
@@ -268,57 +168,28 @@ mod tests {
             "(x,y) := exists u . E(x,u) & E(y,u)",
             "(x) := exists u, v . E(x,u) & E(u,v)",
         ];
-        let engines = all_engines_with_parallel(3);
+        let engines = all_engines();
         for b in structures() {
             for q in queries {
                 let pp = pp_of(q);
                 let reference = engines[0].count(&pp, &b);
-                for e in &engines[1..] {
-                    assert_eq!(
-                        e.count(&pp, &b),
-                        reference,
-                        "engine {} disagrees on {q}",
-                        e.name()
-                    );
+                for e in &engines {
+                    for threads in [1usize, 2, 4] {
+                        assert_eq!(
+                            e.count_threaded(&pp, &b, threads),
+                            reference,
+                            "engine {} at {threads} threads disagrees on {q}",
+                            e.name()
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn parallel_engines_agree_at_every_thread_count() {
-        let pp = pp_of("(x,y) := exists u . E(x,u) & E(y,u)");
-        for b in structures() {
-            let expected = FptEngine.count(&pp, &b);
-            for threads in [1usize, 2, 4] {
-                assert_eq!(ParFptEngine::new(threads).count(&pp, &b), expected);
-                assert_eq!(ParBruteForceEngine::new(threads).count(&pp, &b), expected);
-                assert_eq!(ParRelalgEngine::new(threads).count(&pp, &b), expected);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_engine_defaults_use_available_hardware() {
-        assert!(ParFptEngine::default().threads >= 1);
-        assert!(ParBruteForceEngine::default().threads >= 1);
-        assert!(ParRelalgEngine::default().threads >= 1);
-        // A zero request is clamped to one worker.
-        assert_eq!(ParFptEngine::new(0).threads, 1);
-        assert_eq!(ParBruteForceEngine::new(0).threads, 1);
-        assert_eq!(ParRelalgEngine::new(0).threads, 1);
-    }
-
-    #[test]
     fn names_are_distinct() {
-        let names: Vec<&str> = all_engines_with_parallel(2)
-            .iter()
-            .map(|e| e.name())
-            .collect();
-        assert_eq!(names.len(), 7);
-        let mut deduped = names.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        assert_eq!(names.len(), deduped.len());
+        let names: Vec<&str> = all_engines().iter().map(|e| e.name()).collect();
+        assert_eq!(names, ["brute-force", "relalg", "hom-dp", "fpt"]);
     }
 }

@@ -25,7 +25,6 @@
 
 use crate::brute::{assignment_space, for_each_assignment, for_each_assignment_in_range};
 use crate::csp::{hom_constraints, CspConstraint, TdCounter};
-use crate::pool;
 use epq_bigint::Natural;
 use epq_logic::contract::existential_components;
 use epq_logic::PpFormula;
@@ -34,28 +33,20 @@ use std::collections::HashSet;
 
 /// Counts `|φ(B)|` with the FPT algorithm. Exact for *every* pp-formula;
 /// fixed-parameter tractable when the tractability condition holds.
-pub fn count_pp_fpt(pp: &PpFormula, b: &Structure) -> Natural {
-    count_pp_fpt_threaded(pp, b, 1)
-}
-
-/// Counts `|φ(B)|` with the FPT algorithm, sharding its two hot loops
-/// across up to `threads` threads:
+///
+/// Up to `threads` workers share its two hot loops (`1` runs inline):
 ///
 /// * the per-∃-component **boundary enumeration** (`|B|^|∂|`
 ///   satisfiability probes against the component's homomorphism DP)
 ///   splits by contiguous ranges of the flat assignment order;
 /// * the final **counting DP** over the contract graph shards each
 ///   node's table construction by sorted-order chunks of the child
-///   table ([`TdCounter::count_par`]).
+///   table ([`TdCounter::count`]).
 ///
 /// Both merges (set union of extendable boundary tuples; disjoint
 /// unions / summed `Natural` partials) are order-insensitive, so the
-/// result is identical to [`count_pp_fpt`] at every thread count.
-pub fn count_pp_fpt_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
-    count_pp_fpt_threaded(pp, b, threads)
-}
-
-fn count_pp_fpt_threaded(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
+/// result is identical at every thread count.
+pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     let core = pp.core();
     let s = core.liberal_count();
     let structure = core.structure();
@@ -103,7 +94,7 @@ fn count_pp_fpt_threaded(pp: &PpFormula, b: &Structure, threads: usize) -> Natur
                 // contiguous index range and returns its extendable
                 // tuples; the union is order-insensitive.
                 let checker = &checker;
-                let jobs: Vec<_> = pool::split_ranges(total, threads.saturating_mul(4))
+                let jobs: Vec<_> = epq_pool::split_ranges(total, threads.saturating_mul(4))
                     .into_iter()
                     .map(|(start, end)| {
                         move || {
@@ -127,7 +118,7 @@ fn count_pp_fpt_threaded(pp: &PpFormula, b: &Structure, threads: usize) -> Natur
                         }
                     })
                     .collect();
-                pool::run_jobs(threads, jobs)
+                epq_pool::run_jobs(threads, jobs)
                     .into_iter()
                     .flatten()
                     .collect()
@@ -170,7 +161,7 @@ fn count_pp_fpt_threaded(pp: &PpFormula, b: &Structure, threads: usize) -> Natur
     }
 
     // Count over S by DP on (a tree decomposition of) the contract graph.
-    TdCounter::new(s, universe_size(b), constraints).count_par(&[], threads)
+    TdCounter::new(s, universe_size(b), constraints).count(&[], threads)
 }
 
 fn universe_size(b: &Structure) -> usize {
@@ -230,7 +221,7 @@ mod tests {
         ] {
             let pp = pp_of(text);
             assert_eq!(
-                count_pp_fpt(&pp, &b),
+                count_pp_fpt(&pp, &b, 1),
                 count_pp_brute(&pp, &b),
                 "query {text}"
             );
@@ -243,10 +234,10 @@ mod tests {
         // out-neighbor.
         let b = example_c();
         let pp = pp_of("(x1,x2) := exists u . E(x1,u) & E(x2,u)");
-        assert_eq!(count_pp_fpt(&pp, &b), count_pp_brute(&pp, &b));
+        assert_eq!(count_pp_fpt(&pp, &b, 1), count_pp_brute(&pp, &b));
         // Three liberal arms — boundary is a 3-clique in the contract.
         let pp3 = pp_of("(x1,x2,x3) := exists u . E(x1,u) & E(x2,u) & E(x3,u)");
-        assert_eq!(count_pp_fpt(&pp3, &b), count_pp_brute(&pp3, &b));
+        assert_eq!(count_pp_fpt(&pp3, &b, 1), count_pp_brute(&pp3, &b));
     }
 
     #[test]
@@ -254,7 +245,7 @@ mod tests {
         // (x,y) := exists u, v . E(x,u) & E(u,v) & E(v,y).
         let b = example_c();
         let pp = pp_of("(x,y) := exists u, v . E(x,u) & E(u,v) & E(v,y)");
-        assert_eq!(count_pp_fpt(&pp, &b), count_pp_brute(&pp, &b));
+        assert_eq!(count_pp_fpt(&pp, &b, 1), count_pp_brute(&pp, &b));
     }
 
     #[test]
@@ -264,7 +255,7 @@ mod tests {
         b.add_tuple_named("E", &[0, 1]);
         // F is empty: the sentence part kills the count.
         let pp = pp_of_with("(x) := E(x,x) & (exists a, b . F(a,b))", &sig);
-        assert_eq!(count_pp_fpt(&pp, &b).to_u64(), Some(0));
+        assert_eq!(count_pp_fpt(&pp, &b, 1).to_u64(), Some(0));
     }
 
     #[test]
@@ -272,10 +263,10 @@ mod tests {
         let sig = Signature::from_symbols([("E", 2)]);
         let empty = Structure::new(sig, 0);
         let pp = pp_of("E(x,y)");
-        assert_eq!(count_pp_fpt(&pp, &empty).to_u64(), Some(0));
+        assert_eq!(count_pp_fpt(&pp, &empty, 1).to_u64(), Some(0));
         // Sentence query with liberal-free quantifier over empty universe.
         let pp2 = pp_of("exists a . E(a,a)");
-        assert_eq!(count_pp_fpt(&pp2, &empty).to_u64(), Some(0));
+        assert_eq!(count_pp_fpt(&pp2, &empty, 1).to_u64(), Some(0));
     }
 
     #[test]
@@ -283,7 +274,7 @@ mod tests {
         let b = example_c();
         let pp = pp_of("(x,y,z,w) := E(x,y)");
         // 4 edges × 4² for z, w.
-        assert_eq!(count_pp_fpt(&pp, &b).to_u64(), Some(64));
+        assert_eq!(count_pp_fpt(&pp, &b, 1).to_u64(), Some(64));
     }
 
     #[test]
@@ -292,7 +283,7 @@ mod tests {
         // with out-degree ≥ 1 = 4 on example_c.
         let b = example_c();
         let pp = pp_of("(x) := exists u, v . E(x,u) & E(x,v)");
-        assert_eq!(count_pp_fpt(&pp, &b).to_u64(), Some(4));
+        assert_eq!(count_pp_fpt(&pp, &b, 1).to_u64(), Some(4));
     }
 
     #[test]
@@ -308,10 +299,10 @@ mod tests {
             "exists a . E(a,a)",
         ] {
             let pp = pp_of(text);
-            let expected = count_pp_fpt(&pp, &b);
-            for threads in [1usize, 2, 3, 8] {
+            let expected = count_pp_fpt(&pp, &b, 1);
+            for threads in [2usize, 3, 8] {
                 assert_eq!(
-                    count_pp_fpt_par(&pp, &b, threads),
+                    count_pp_fpt(&pp, &b, threads),
                     expected,
                     "query {text} at {threads} threads"
                 );
@@ -324,7 +315,7 @@ mod tests {
         let sig = Signature::from_symbols([("E", 2)]);
         let empty = Structure::new(sig, 0);
         let pp = pp_of("(x) := exists u . E(x,u)");
-        assert_eq!(count_pp_fpt_par(&pp, &empty, 4).to_u64(), Some(0));
+        assert_eq!(count_pp_fpt(&pp, &empty, 4).to_u64(), Some(0));
     }
 
     #[test]
@@ -352,7 +343,7 @@ mod tests {
         ] {
             let pp = pp_of(text);
             assert_eq!(
-                count_pp_fpt(&pp, &b),
+                count_pp_fpt(&pp, &b, 1),
                 count_pp_brute(&pp, &b),
                 "query {text}"
             );

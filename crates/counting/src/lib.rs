@@ -20,11 +20,12 @@
 //!   boundary via bounded-treewidth homomorphism checks, then count
 //!   assignments by dynamic programming over a tree decomposition of
 //!   contract(A, S);
-//! * [`engines`] — a common trait over the engines (brute force, relational
-//!   algebra, #Hom-DP, FPT, and the work-sharded parallel variants
-//!   `fpt-par` / `brute-par`) for the cross-checking tests and benchmarks;
-//! * [`pool`] — the minimal scoped thread pool (std-only; the build
-//!   container is offline) backing the parallel engines;
+//! * [`engines`] — a common trait over the four engines (brute force,
+//!   relational algebra, #Hom-DP, FPT) for the cross-checking tests and
+//!   benchmarks. Thread count is a call parameter
+//!   ([`PpCountingEngine::count_threaded`]): each algorithm has one code
+//!   path that shards its hot loops across the `epq-pool` workers, with
+//!   counts bit-identical at every thread count;
 //! * [`table`] — the packed-key flat DP tables (row-major key arena +
 //!   `Natural` column) the tree-decomposition DP runs on;
 //! * [`tupleset`] — packed, sorted tuple sets backing every
@@ -41,14 +42,10 @@ pub mod csp;
 pub mod decision;
 pub mod engines;
 pub mod fpt;
-pub mod pool;
 pub mod table;
 pub mod tupleset;
 
 pub use csp::{CspConstraint, TdCounter};
-pub use engines::{
-    BruteForceEngine, FptEngine, HomDpEngine, ParBruteForceEngine, ParFptEngine, PpCountingEngine,
-    RelalgEngine,
-};
+pub use engines::{BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine};
 pub use table::FlatTable;
 pub use tupleset::TupleSet;

@@ -13,7 +13,7 @@
 //! allocation, the per-key `Vec` allocation, and the pointer-chasing
 //! traversal: a DP pass is a linear scan over one contiguous buffer.
 //! The sorted order is the same canonical order the `BTreeMap` gave, so
-//! the determinism guarantee of [`crate::csp::TdCounter::count_par`] —
+//! the determinism guarantee of the threaded [`crate::csp::TdCounter::count`] —
 //! shard boundaries are contiguous chunks of the sorted entries,
 //! partial merges are order-insensitive exact sums — carries over
 //! unchanged, and every count is bit-identical to the map-based DP.
@@ -25,7 +25,6 @@
 //! workspace pool (below [`PAR_NODE_THRESHOLD`] everything runs
 //! inline).
 
-use crate::pool;
 use epq_bigint::Natural;
 
 /// Nodes whose per-table work (source entries × introduce fan-out) is
@@ -298,11 +297,11 @@ impl FlatTable {
         if threads <= 1 || self.len().saturating_mul(weight) < PAR_NODE_THRESHOLD {
             return build(0..self.len());
         }
-        let jobs: Vec<_> = pool::split_ranges(self.len() as u128, threads.saturating_mul(2))
+        let jobs: Vec<_> = epq_pool::split_ranges(self.len() as u128, threads.saturating_mul(2))
             .into_iter()
             .map(|(start, end)| move || build(start as usize..end as usize))
             .collect();
-        let mut partials = pool::run_jobs(threads, jobs).into_iter();
+        let mut partials = epq_pool::run_jobs(threads, jobs).into_iter();
         // A nonempty source (len ≥ threshold here) always yields at
         // least one shard.
         let first = partials.next().expect("sharded pass over empty table");

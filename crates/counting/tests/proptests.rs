@@ -1,11 +1,10 @@
-//! Randomized cross-checking of every counting engine, sequential and
-//! parallel.
+//! Randomized cross-checking of every counting engine at 1, 2 and 4
+//! worker threads.
 //!
 //! The fixed-family agreement tests live in the workspace-level
 //! `tests/engine_agreement.rs`; this suite drives the engines over
-//! *random* small queries × random structures, with the parallel
-//! engines exercised at 1, 2, and 4 threads — the shard boundaries of
-//! the parallel #Hom DP and the brute sweep move with the thread
+//! *random* small queries × random structures — the shard boundaries of
+//! the threaded #Hom DP and the brute sweep move with the thread
 //! count, so agreement here checks that no assignment is dropped or
 //! double-counted at any boundary.
 
@@ -14,8 +13,8 @@ use epq_counting::brute::{
     count_pp_brute, count_pp_brute_par, for_each_assignment, for_each_assignment_in_range,
 };
 use epq_counting::csp::{count_csp_brute, CspConstraint, TdCounter};
-use epq_counting::engines::{all_engines_with_parallel, ParBruteForceEngine, ParFptEngine};
-use epq_counting::fpt::{count_pp_fpt, count_pp_fpt_par};
+use epq_counting::engines::all_engines;
+use epq_counting::fpt::count_pp_fpt;
 use epq_counting::table::FlatTable;
 use epq_logic::PpFormula;
 use epq_workloads::{data, queries};
@@ -87,10 +86,10 @@ proptest! {
         let pp = random_pp(qseed, vars, atoms, 0.4);
         let b = data::random_digraph(&mut StdRng::seed_from_u64(sseed), n, 0.35);
         let reference = count_pp_brute(&pp, &b);
-        for threads in [1usize, 2, 4] {
-            for engine in all_engines_with_parallel(threads) {
+        for engine in all_engines() {
+            for threads in [1usize, 2, 4] {
                 prop_assert_eq!(
-                    engine.count(&pp, &b),
+                    engine.count_threaded(&pp, &b, threads),
                     reference.clone(),
                     "engine {} at {} threads on {}",
                     engine.name(),
@@ -111,10 +110,10 @@ proptest! {
         // enumeration — the FPT engine's sharded hot loop.
         let pp = random_pp(qseed, 4, 4, 0.7);
         let b = data::random_digraph(&mut StdRng::seed_from_u64(sseed), n, 0.3);
-        let expected = count_pp_fpt(&pp, &b);
+        let expected = count_pp_fpt(&pp, &b, 1);
         for threads in [2usize, 3, 4, 8] {
             prop_assert_eq!(
-                count_pp_fpt_par(&pp, &b, threads),
+                count_pp_fpt(&pp, &b, threads),
                 expected.clone(),
                 "{} threads on {}",
                 threads,
@@ -171,9 +170,8 @@ proptest! {
         }
         let expected = count_csp_brute(variables, domain, &cs, &[]);
         let counter = TdCounter::new(variables, domain, cs);
-        prop_assert_eq!(counter.count(&[]), expected.clone());
-        for threads in [2usize, 4] {
-            prop_assert_eq!(counter.count_par(&[], threads), expected.clone());
+        for threads in [1usize, 2, 4] {
+            prop_assert_eq!(counter.count(&[], threads), expected.clone());
         }
     }
 
@@ -333,22 +331,6 @@ proptest! {
 
 #[test]
 fn engine_roster_is_stable() {
-    let names: Vec<&str> = all_engines_with_parallel(2)
-        .iter()
-        .map(|e| e.name())
-        .collect();
-    assert_eq!(
-        names,
-        [
-            "brute-force",
-            "relalg",
-            "hom-dp",
-            "fpt",
-            "fpt-par",
-            "brute-par",
-            "relalg-par"
-        ]
-    );
-    assert_eq!(ParFptEngine::new(4).threads, 4);
-    assert_eq!(ParBruteForceEngine::new(4).threads, 4);
+    let names: Vec<&str> = all_engines().iter().map(|e| e.name()).collect();
+    assert_eq!(names, ["brute-force", "relalg", "hom-dp", "fpt"]);
 }

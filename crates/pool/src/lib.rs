@@ -1,6 +1,6 @@
 //! # epq-pool — a minimal scoped work pool (std-only)
 //!
-//! The shared work-sharding substrate of the workspace: the parallel
+//! The shared work-sharding substrate of the workspace: the threaded
 //! counting engines (`epq-counting`), the pool-parallel relational
 //! algebra (`epq-relalg`), and the batched counting API
 //! (`epq_core::prepared`) all fan their jobs through this one pool.
@@ -20,9 +20,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The number of hardware threads available, with a floor of 1.
-///
-/// Used as the default shard width by the parallel engines when no
-/// explicit `threads` knob is given (the CLI's `--threads` flag).
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -33,8 +30,8 @@ pub fn available_threads() -> usize {
 /// results in job order.
 ///
 /// With `threads <= 1` (or a single job) everything runs inline on the
-/// caller's thread — the parallel engines at one thread are *exactly*
-/// the sequential algorithms. A panicking job propagates the panic to
+/// caller's thread — every engine at one thread is *exactly* the
+/// sequential algorithm. A panicking job propagates the panic to
 /// the caller when the scope joins.
 pub fn run_jobs<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
 where

@@ -183,7 +183,7 @@ fn join_all_via(
             .position(|(_, r)| r.schema().iter().any(|c| acc.schema().contains(c)))
             .unwrap_or(0);
         let (label, r) = scans.remove(idx);
-        acc = acc.join_par(&r, threads);
+        acc = acc.join(&r, threads);
         plan.steps
             .push(format!("join {label} -> {} rows", acc.len()));
         if acc.is_empty() {
@@ -203,14 +203,11 @@ fn join_all(pp: &PpFormula, b: &Structure, threads: usize) -> (Relation, JoinPla
 /// liberal-free component contributes 1/0 by satisfiability, an isolated
 /// liberal variable contributes |B|, and every other component contributes
 /// its number of distinct projected join rows.
-pub fn count_pp(pp: &PpFormula, b: &Structure) -> Natural {
-    count_pp_par(pp, b, 1)
-}
-
-/// [`count_pp`] with every join's outer relation work-sharded across up
-/// to `threads` pool workers (see [`Relation::join_par`]). Counts are
-/// bit-identical to the sequential engine at every thread count.
-pub fn count_pp_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
+///
+/// Every join's outer relation is work-sharded across up to `threads`
+/// pool workers (see [`Relation::join`]); counts are bit-identical at
+/// every thread count.
+pub fn count_pp(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     count_pp_via(pp, b, threads, &mut |b, rel, atom| scan_atom(b, rel, atom))
 }
 
@@ -218,8 +215,8 @@ pub fn count_pp_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
 /// `cache` — the incremental-maintenance entry point: after a few
 /// relations change, re-evaluating a formula rescans only atoms over
 /// the relations the caller [`ScanCache::invalidate`]d, and reuses
-/// every other scan. Counts are bit-identical to [`count_pp`] /
-/// [`count_pp_par`] — identical scans feed the identical greedy plan —
+/// every other scan. Counts are bit-identical to [`count_pp`] —
+/// identical scans feed the identical greedy plan —
 /// provided the cache is coherent with `b` (see [`ScanCache`]).
 pub fn count_pp_cached(
     pp: &PpFormula,
@@ -278,14 +275,9 @@ fn count_pp_via(
 /// Materializes the full answer set `φ(B)` of a pp-formula as a relation
 /// over the liberal slots `0..liberal_count` (isolated liberal variables
 /// are extended over the whole universe — this is where materialization
-/// pays the |B|^k price that pure counting avoids).
-pub fn answers_pp(pp: &PpFormula, b: &Structure) -> Relation {
-    answers_pp_par(pp, b, 1)
-}
-
-/// [`answers_pp`] with pool-parallel joins (bit-identical results; see
-/// [`count_pp_par`]).
-pub fn answers_pp_par(pp: &PpFormula, b: &Structure, threads: usize) -> Relation {
+/// pays the |B|^k price that pure counting avoids). Joins run on up to
+/// `threads` pool workers (bit-identical results; see [`count_pp`]).
+pub fn answers_pp(pp: &PpFormula, b: &Structure, threads: usize) -> Relation {
     let mut acc = Relation::unit();
     for component in pp.components() {
         let has_atoms = component.structure().tuple_count() > 0;
@@ -327,7 +319,7 @@ pub fn answers_pp_par(pp: &PpFormula, b: &Structure, threads: usize) -> Relation
             })
             .collect();
         let renamed = projected.renamed(parent_slots);
-        acc = acc.join_par(&renamed, threads);
+        acc = acc.join(&renamed, threads);
     }
     // Ensure the full liberal schema (in order).
     let full: Vec<u32> = (0..pp.liberal_count() as u32).collect();
@@ -336,17 +328,13 @@ pub fn answers_pp_par(pp: &PpFormula, b: &Structure, threads: usize) -> Relation
 
 /// Counts `|φ(B)|` for a UCQ given as disjuncts over a shared liberal
 /// variable set, by materializing and unioning the disjunct answer sets
-/// (set semantics).
-pub fn count_ucq(disjuncts: &[PpFormula], b: &Structure) -> Natural {
-    count_ucq_par(disjuncts, b, 1)
-}
-
-/// [`count_ucq`] with pool-parallel joins inside each disjunct's
-/// materialization (bit-identical results; see [`count_pp_par`]).
-pub fn count_ucq_par(disjuncts: &[PpFormula], b: &Structure, threads: usize) -> Natural {
+/// (set semantics). Joins inside each disjunct's materialization run on
+/// up to `threads` pool workers (bit-identical results; see
+/// [`count_pp`]).
+pub fn count_ucq(disjuncts: &[PpFormula], b: &Structure, threads: usize) -> Natural {
     let mut acc: Option<Relation> = None;
     for d in disjuncts {
-        let answers = answers_pp_par(d, b, threads);
+        let answers = answers_pp(d, b, threads);
         acc = Some(match acc {
             None => answers,
             Some(u) => u.union(&answers),
@@ -398,24 +386,24 @@ mod tests {
     #[test]
     fn count_single_edge_query() {
         let pp = pp_of("E(x,y)");
-        assert_eq!(count_pp(&pp, &example_c()).to_u64(), Some(4));
+        assert_eq!(count_pp(&pp, &example_c(), 1).to_u64(), Some(4));
     }
 
     #[test]
     fn count_with_liberal_only_variable() {
         // (x,y,z) := E(x,y): z ranges over the universe → 4·4 = 16.
         let pp = pp_of("(x,y,z) := E(x,y)");
-        assert_eq!(count_pp(&pp, &example_c()).to_u64(), Some(16));
+        assert_eq!(count_pp(&pp, &example_c(), 1).to_u64(), Some(16));
     }
 
     #[test]
     fn count_quantified_query() {
         // (x) := exists u . E(x,u): vertices with out-edges = {0,1,2,3}.
         let pp = pp_of("(x) := exists u . E(x,u)");
-        assert_eq!(count_pp(&pp, &example_c()).to_u64(), Some(4));
+        assert_eq!(count_pp(&pp, &example_c(), 1).to_u64(), Some(4));
         // (x) := exists u . E(u,x): vertices with in-edges = {1,2,3}.
         let pp = pp_of("(x) := exists u . E(u,x)");
-        assert_eq!(count_pp(&pp, &example_c()).to_u64(), Some(3));
+        assert_eq!(count_pp(&pp, &example_c(), 1).to_u64(), Some(3));
     }
 
     #[test]
@@ -423,21 +411,21 @@ mod tests {
         // E(x,y) & E(y,z): walks of length 2 in C:
         // 0→1→2, 1→2→3, 2→3→3, 3→3→3 = 4.
         let pp = pp_of("E(x,y) & E(y,z)");
-        assert_eq!(count_pp(&pp, &example_c()).to_u64(), Some(4));
+        assert_eq!(count_pp(&pp, &example_c(), 1).to_u64(), Some(4));
     }
 
     #[test]
     fn repeated_variable_atom() {
         // E(x,x): only the loop at 3.
         let pp = pp_of("E(x,x)");
-        assert_eq!(count_pp(&pp, &example_c()).to_u64(), Some(1));
+        assert_eq!(count_pp(&pp, &example_c(), 1).to_u64(), Some(1));
     }
 
     #[test]
     fn sentence_component_gates_count() {
         // (x) := E(x,x) & (exists a,b,c: path of length 2 among quantified).
         let pp = pp_of("(x) := E(x,x) & (exists a, b, c . E(a,b) & E(b,c))");
-        assert_eq!(count_pp(&pp, &example_c()).to_u64(), Some(1));
+        assert_eq!(count_pp(&pp, &example_c(), 1).to_u64(), Some(1));
         // With an unsatisfiable sentence part (loop-free structure needed):
         let sig = Signature::from_symbols([("E", 2)]);
         let mut b = Structure::new(sig, 2);
@@ -449,7 +437,7 @@ mod tests {
         b2.add_tuple_named("E", &[0, 0]);
         let q = parse_query("(x) := E(x,x) & (exists a, b . F(a,b))").unwrap();
         let pp2b = PpFormula::from_query(&q, &sig2).unwrap();
-        assert_eq!(count_pp(&pp2b, &b2).to_u64(), Some(0));
+        assert_eq!(count_pp(&pp2b, &b2, 1).to_u64(), Some(0));
         let _ = pp2;
     }
 
@@ -464,8 +452,8 @@ mod tests {
             let pp = pp_of(text);
             let b = example_c();
             assert_eq!(
-                Natural::from(answers_pp(&pp, &b).len()),
-                count_pp(&pp, &b),
+                Natural::from(answers_pp(&pp, &b, 1).len()),
+                count_pp(&pp, &b, 1),
                 "query {text}"
             );
         }
@@ -483,20 +471,20 @@ mod tests {
         b.add_tuple_named("S", &[1, 2]);
         // E(x,y)=(0,1): z free → 3 rows; S(y,z)=(1,2): x free → 3 rows;
         // overlap: (x,y,z)=(0,1,2) counted once → 5.
-        assert_eq!(count_ucq(&ds, &b).to_u64(), Some(5));
+        assert_eq!(count_ucq(&ds, &b, 1).to_u64(), Some(5));
     }
 
     #[test]
     fn ucq_of_example_4_1_matches_inclusion_exclusion_identity() {
         let (_, ds) = ucq_of("(w,x,y,z) := E(x,y) & (E(w,x) | (E(y,z) & E(z,z)))");
         let b = example_c();
-        let whole = count_ucq(&ds, &b);
+        let whole = count_ucq(&ds, &b, 1);
         // |φ| = |φ1| + |φ2| − |φ1 ∧ φ2|.
         let phi1 = &ds[0];
         let phi2 = &ds[1];
         let conj = PpFormula::conjoin(&[phi1, phi2]);
-        let rhs = count_pp(phi1, &b) + count_pp(phi2, &b);
-        let sub = count_pp(&conj, &b);
+        let rhs = count_pp(phi1, &b, 1) + count_pp(phi2, &b, 1);
+        let sub = count_pp(&conj, &b, 1);
         assert_eq!(rhs.checked_sub(&sub).unwrap(), whole);
     }
 
@@ -504,10 +492,10 @@ mod tests {
     fn empty_structure_counts() {
         let sig = Signature::from_symbols([("E", 2)]);
         let empty = Structure::new(sig, 0);
-        assert_eq!(count_pp(&pp_of("E(x,y)"), &empty).to_u64(), Some(0));
+        assert_eq!(count_pp(&pp_of("E(x,y)"), &empty, 1).to_u64(), Some(0));
         // Sentence with quantifier on the empty structure: 0.
         let pp = pp_of("exists a . E(a,a)");
-        assert_eq!(count_pp(&pp, &empty).to_u64(), Some(0));
+        assert_eq!(count_pp(&pp, &empty, 1).to_u64(), Some(0));
     }
 
     #[test]
@@ -525,7 +513,7 @@ mod tests {
             let pp = pp_of(text);
             assert_eq!(
                 count_pp_cached(&pp, &b, &mut cache, 1),
-                count_pp(&pp, &b),
+                count_pp(&pp, &b, 1),
                 "cold cache, query {text}"
             );
         }
@@ -536,7 +524,7 @@ mod tests {
             let pp = pp_of(text);
             assert_eq!(
                 count_pp_cached(&pp, &b, &mut cache, 1),
-                count_pp(&pp, &b),
+                count_pp(&pp, &b, 1),
                 "warm cache, query {text}"
             );
         }
@@ -550,7 +538,7 @@ mod tests {
             let pp = pp_of(text);
             assert_eq!(
                 count_pp_cached(&pp, &b, &mut cache, 1),
-                count_pp(&pp, &b),
+                count_pp(&pp, &b, 1),
                 "after invalidation, query {text}"
             );
         }
@@ -576,7 +564,7 @@ mod tests {
     fn cached_counts_are_thread_invariant() {
         let pp = pp_of("E(x,y) & E(y,z)");
         let b = example_c();
-        let expected = count_pp(&pp, &b);
+        let expected = count_pp(&pp, &b, 1);
         for threads in [1usize, 2, 4] {
             let mut cache = ScanCache::new();
             assert_eq!(count_pp_cached(&pp, &b, &mut cache, threads), expected);

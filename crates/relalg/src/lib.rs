@@ -22,25 +22,21 @@
 //! [`epq_logic::PpFormula`]'s canonical layout), so disjuncts over the
 //! same liberal variable set align positionally.
 //!
-//! Every evaluation entry point has a `…_par` variant that partitions
-//! each join's outer relation across the shared `epq-pool` workers
-//! ([`Relation::join_par`]); results are **bit-identical** to the
-//! sequential paths at every thread count, because shard boundaries
-//! depend only on row indices and all partials funnel through the same
-//! sort+dedup normalization.
+//! Every evaluation entry point takes a `threads` cap and partitions
+//! each join's outer relation across up to that many `epq-pool` workers
+//! ([`Relation::join`]); results are **bit-identical** at every thread
+//! count, because shard boundaries depend only on row indices and all
+//! partials funnel through the same sort+dedup normalization.
 //!
 //! [`Relation`] stores its rows in a **flat row-major arena** (one
 //! `Vec<u32>` plus an arity stride) rather than a `Vec<Vec<u32>>`: one
 //! allocation per relation instead of one per row, rows iterated as
 //! `&[u32]` slices, and hash-join keys packed into `u64`/`u128`
 //! integers instead of per-row key `Vec`s — see the [`relation`] module
-//! docs for the layout and the `P3` benchmark for the measured payoff.
+//! docs for the layout.
 
 pub mod engine;
 pub mod relation;
 
-pub use engine::{
-    answers_pp, answers_pp_par, count_pp, count_pp_cached, count_pp_par, count_ucq, count_ucq_par,
-    JoinPlan, ScanCache,
-};
+pub use engine::{answers_pp, count_pp, count_pp_cached, count_ucq, JoinPlan, ScanCache};
 pub use relation::{Relation, Rows};

@@ -26,7 +26,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Minimum probe-side rows per shard of a parallel join:
-/// [`Relation::join_par`] caps its shard count so every shard keeps at
+/// [`Relation::join`] caps its shard count so every shard keeps at
 /// least this many rows, and runs the sequential path when fewer than
 /// two such shards fit.
 const PAR_JOIN_MIN_PROBE_ROWS: usize = 256;
@@ -180,19 +180,15 @@ impl Relation {
         }
     }
 
-    /// Natural join on shared columns (hash join; the smaller side builds).
-    pub fn join(&self, other: &Relation) -> Relation {
-        self.join_par(other, 1)
-    }
-
-    /// [`Relation::join`] with the probe (outer) side partitioned into
-    /// contiguous row-range shards across up to `threads` pool workers.
+    /// Natural join on shared columns (hash join; the smaller side
+    /// builds), with the probe (outer) side partitioned into contiguous
+    /// row-range shards across up to `threads` pool workers (`1` runs
+    /// inline).
     ///
     /// Shard boundaries depend only on row indices, and every partial
     /// result set funnels through the same sort+dedup normalization, so
-    /// the output is **bit-identical** to the sequential join at every
-    /// thread count.
-    pub fn join_par(&self, other: &Relation, threads: usize) -> Relation {
+    /// the output is **bit-identical** at every thread count.
+    pub fn join(&self, other: &Relation, threads: usize) -> Relation {
         let (build, probe) = if self.len() <= other.len() {
             (self, other)
         } else {
@@ -656,7 +652,7 @@ mod tests {
         // R(x,y) ⋈ S(y,z)
         let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
         let s = rel(&[1, 2], &[&[2, 5], &[2, 6], &[9, 9]]);
-        let j = r.join(&s);
+        let j = r.join(&s, 1);
         assert_eq!(j.schema(), &[0, 1, 2]);
         assert_eq!(row_vecs(&j), vec![vec![1, 2, 5], vec![1, 2, 6]]);
     }
@@ -665,7 +661,7 @@ mod tests {
     fn join_without_shared_columns_is_cross_product() {
         let r = rel(&[0], &[&[1], &[2]]);
         let s = rel(&[1], &[&[7], &[8]]);
-        let j = r.join(&s);
+        let j = r.join(&s, 1);
         assert_eq!(j.len(), 4);
     }
 
@@ -680,11 +676,11 @@ mod tests {
                 .collect();
             let r = Relation::new(schema.clone(), rows.clone());
             let s = Relation::new(schema.clone(), rows[..20].to_vec());
-            let j = r.join(&s);
+            let j = r.join(&s, 1);
             assert_eq!(j.schema(), &schema[..]);
-            assert_eq!(j, s.join(&r));
+            assert_eq!(j, s.join(&r, 1));
             // Self-join on the full schema is idempotent.
-            assert_eq!(r.join(&r), r);
+            assert_eq!(r.join(&r, 1), r);
         }
     }
 
@@ -699,21 +695,24 @@ mod tests {
             vec![1, 2],
             (0..2048u32).map(|i| vec![i % 61, i % 7]).collect(),
         );
-        let sequential = r.join(&s);
-        let swapped = s.join(&r);
-        for threads in [1usize, 2, 3, 8] {
-            assert_eq!(r.join_par(&s, threads), sequential, "threads = {threads}");
-            assert_eq!(s.join_par(&r, threads), swapped, "swapped, {threads}");
+        let sequential = r.join(&s, 1);
+        let swapped = s.join(&r, 1);
+        for threads in [2usize, 3, 8] {
+            assert_eq!(r.join(&s, threads), sequential, "threads = {threads}");
+            assert_eq!(s.join(&r, threads), swapped, "swapped, {threads}");
         }
     }
 
     #[test]
     fn join_with_unit_and_empty() {
         let r = rel(&[0], &[&[1], &[2]]);
-        assert_eq!(r.join(&Relation::unit()), r);
-        assert!(r.join(&Relation::empty()).is_empty());
-        assert_eq!(Relation::unit().join(&Relation::unit()), Relation::unit());
-        assert!(Relation::unit().join(&Relation::empty()).is_empty());
+        assert_eq!(r.join(&Relation::unit(), 1), r);
+        assert!(r.join(&Relation::empty(), 1).is_empty());
+        assert_eq!(
+            Relation::unit().join(&Relation::unit(), 1),
+            Relation::unit()
+        );
+        assert!(Relation::unit().join(&Relation::empty(), 1).is_empty());
     }
 
     #[test]

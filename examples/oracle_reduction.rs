@@ -86,7 +86,7 @@ fn main() {
     let mut calls2 = 0usize;
     let mut oracle2 = |d: &Structure| {
         calls2 += 1;
-        epq::core::count::count_ep_with(&dec, query2.liberal_count(), d, &FptEngine)
+        epq::core::count::count_ep_with(&dec, query2.liberal_count(), d, &FptEngine, 1)
     };
     let recovered2 = oracle::recover_plus_counts(&dec, query2.liberal_count(), &b2, &mut oracle2);
     println!("\nRecovered (with {calls2} oracle calls):");

@@ -12,8 +12,7 @@ use epq_core::iex::star;
 use epq_core::plus::plus_decomposition;
 use epq_core::prepared::PreparedQuery;
 use epq_counting::engines::{
-    BruteForceEngine, FptEngine, HomDpEngine, ParBruteForceEngine, ParFptEngine, ParRelalgEngine,
-    PpCountingEngine, RelalgEngine,
+    BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
 };
 use epq_logic::dnf;
 use epq_logic::parser::parse_query;
@@ -40,20 +39,18 @@ USAGE:
 QUERY SYNTAX:    (x, y) := E(x,y) | (exists u . E(x,u) & E(u,y))
 STRUCTURE SYNTAX: structure { universe 4  E = { (0,1), (1,2) } }
 ENGINES:         fpt (default) | brute-force | relalg | hom-dp
-                 | fpt-par | brute-par | relalg-par
-THREADS:         --threads N caps the worker threads of the parallel engines,
-                 of --batch fan-out, and of the --stream maintainer's joins
-                 (default: all hardware threads)
+THREADS:         --threads N caps the worker threads of whichever engine runs
+                 (default: all hardware threads); counts never depend on it
 BATCH:           --batch <FILE> reads one or more structure blocks; the query
                  is prepared once and counted per block (one count per line).
-                 --threads caps the per-structure fan-out; each job's engine
-                 runs single-threaded
+                 The --threads workers fan out over the blocks; each count
+                 runs on one thread
 STREAM:          --stream <FILE> replays a tuple log (universe N / rel R/k /
                  insert R e... / checkpoint lines) through the incremental
                  maintainer, printing one count per checkpoint (and a final
-                 count if the log does not end on one). relalg-family engines
-                 maintain through cached scans; DP-table engines recount each
-                 affected disjunct in full
+                 count if the log does not end on one). The relalg engine
+                 maintains through cached scans; the other engines recount
+                 each affected disjunct in full
 ";
 
 /// Runs the CLI with `args` (excluding the program name), writing to
@@ -71,11 +68,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 return count_stream(args, &query, &path, out);
             }
             let b = load_structure(args)?;
-            let engine = engine_from(args)?;
             let (q, sig) = prepare(&query, Some(&b))?;
-            let prepared = PreparedQuery::prepare(&q, &sig)
-                .map_err(|e| e.to_string())?
-                .with_engine(engine);
+            let prepared = prepare_counting(args, &q, &sig)?;
             writeln!(out, "{}", prepared.count(&b)).map_err(io)
         }
         Some("classify") => {
@@ -190,16 +184,9 @@ fn count_batch(
             ));
         }
     }
-    // The batch fan-out already saturates the pool, so the per-job
-    // engine runs single-threaded — otherwise a parallel engine would
-    // multiply up to threads x threads OS threads.
-    let engine = engine_with_threads(args, 1)?;
-    let threads = threads_from(args)?;
     let (q, sig) = prepare(query_text, Some(first))?;
-    let prepared = PreparedQuery::prepare(&q, &sig)
-        .map_err(|e| e.to_string())?
-        .with_engine(engine);
-    for n in prepared.count_batch(&structures, threads) {
+    let prepared = prepare_counting(args, &q, &sig)?;
+    for n in prepared.count_batch(&structures, prepared.threads()) {
         writeln!(out, "{n}").map_err(|e| format!("I/O error: {e}"))?;
     }
     Ok(())
@@ -218,16 +205,10 @@ fn count_stream(
 
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let log = StreamLog::parse(&text).map_err(|e| e.to_string())?;
-    let threads = threads_from(args)?;
-    let engine = engine_with_threads_cap(args, threads)?;
     let q = parse_query(query_text).map_err(|e| e.to_string())?;
     check_against_signature(q.formula(), &log.signature).map_err(|e| e.to_string())?;
-    let prepared = PreparedQuery::prepare(&q, &log.signature)
-        .map_err(|e| e.to_string())?
-        .with_engine(engine);
-    let mut live = LiveCount::new(prepared, log.open())
-        .map_err(|e| e.to_string())?
-        .with_threads(threads);
+    let prepared = prepare_counting(args, &q, &log.signature)?;
+    let mut live = LiveCount::new(prepared, log.open()).map_err(|e| e.to_string())?;
     for op in &log.ops {
         if let Some(count) = live.apply(op) {
             writeln!(out, "{count}").map_err(|e| format!("I/O error: {e}"))?;
@@ -262,9 +243,19 @@ fn load_structure(args: &[String]) -> Result<Structure, String> {
     parse_structure(&text).map_err(|e| e.to_string())
 }
 
+/// Prepares `q` with the `--engine` and `--threads` flags applied.
+fn prepare_counting(args: &[String], q: &Query, sig: &Signature) -> Result<PreparedQuery, String> {
+    let engine = engine_from(args)?;
+    let threads = threads_from(args)?;
+    Ok(PreparedQuery::prepare(q, sig)
+        .map_err(|e| e.to_string())?
+        .with_engine(engine)
+        .with_threads(threads))
+}
+
 fn threads_from(args: &[String]) -> Result<usize, String> {
     match flag_value(args, "--threads") {
-        None => Ok(epq_counting::pool::available_threads()),
+        None => Ok(epq_pool::available_threads()),
         Some(text) => match text.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
             _ => Err(format!(
@@ -275,34 +266,11 @@ fn threads_from(args: &[String]) -> Result<usize, String> {
 }
 
 fn engine_from(args: &[String]) -> Result<Box<dyn PpCountingEngine>, String> {
-    let threads = threads_from(args)?;
-    engine_with_threads_cap(args, threads)
-}
-
-/// [`engine_from`] with an explicit worker cap for the parallel
-/// engines (the `--batch` path pins per-job engines to one thread).
-fn engine_with_threads(
-    args: &[String],
-    threads: usize,
-) -> Result<Box<dyn PpCountingEngine>, String> {
-    // Still validate a user-provided --threads value even though the
-    // engine itself is capped.
-    let _ = threads_from(args)?;
-    engine_with_threads_cap(args, threads)
-}
-
-fn engine_with_threads_cap(
-    args: &[String],
-    threads: usize,
-) -> Result<Box<dyn PpCountingEngine>, String> {
     match flag_value(args, "--engine").as_deref() {
         None | Some("fpt") => Ok(Box::new(FptEngine)),
         Some("brute-force") | Some("brute") => Ok(Box::new(BruteForceEngine)),
         Some("relalg") => Ok(Box::new(RelalgEngine)),
         Some("hom-dp") => Ok(Box::new(HomDpEngine)),
-        Some("fpt-par") => Ok(Box::new(ParFptEngine::new(threads))),
-        Some("brute-par") => Ok(Box::new(ParBruteForceEngine::new(threads))),
-        Some("relalg-par") => Ok(Box::new(ParRelalgEngine::new(threads))),
         Some(other) => Err(format!("unknown engine {other:?}")),
     }
 }
@@ -370,17 +338,11 @@ mod tests {
         assert_eq!(out.trim(), "24");
     }
 
+    const ENGINES: [&str; 4] = ["fpt", "brute-force", "relalg", "hom-dp"];
+
     #[test]
     fn count_with_each_engine() {
-        for engine in [
-            "fpt",
-            "brute-force",
-            "relalg",
-            "hom-dp",
-            "fpt-par",
-            "brute-par",
-            "relalg-par",
-        ] {
+        for engine in ENGINES {
             let out = run_ok(&[
                 "count",
                 "--query",
@@ -395,28 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engines_match_fpt_at_each_thread_count() {
-        let query = "(w,x,y,z) := E(x,y) & (E(w,x) | (E(y,z) & E(z,z)))";
-        let expected = run_ok(&["count", "--query", query, "--data-inline", DATA]);
-        for engine in ["fpt-par", "brute-par", "relalg-par"] {
-            for threads in ["1", "2", "4"] {
-                let out = run_ok(&[
-                    "count",
-                    "--query",
-                    query,
-                    "--data-inline",
-                    DATA,
-                    "--engine",
-                    engine,
-                    "--threads",
-                    threads,
-                ]);
-                assert_eq!(out, expected, "engine {engine} at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn bad_thread_counts_are_reported() {
         for bad in ["0", "-2", "many"] {
             let err = run_err(&[
@@ -425,8 +365,6 @@ mod tests {
                 "E(x,y)",
                 "--data-inline",
                 DATA,
-                "--engine",
-                "fpt-par",
                 "--threads",
                 bad,
             ]);
@@ -593,22 +531,6 @@ mod tests {
         let query = "(w,x,y,z) := E(x,y) & (E(w,x) | (E(y,z) & E(z,z)))";
         let out = run_ok(&["count", "--query", query, "--batch", path.to_str().unwrap()]);
         assert_eq!(out.lines().collect::<Vec<_>>(), vec!["24", "0", "0"]);
-        // The batch fan-out is bit-identical at every thread count and
-        // engine choice.
-        for threads in ["1", "2", "4"] {
-            let par = run_ok(&[
-                "count",
-                "--query",
-                query,
-                "--batch",
-                path.to_str().unwrap(),
-                "--threads",
-                threads,
-                "--engine",
-                "brute-force",
-            ]);
-            assert_eq!(par, out, "threads {threads}");
-        }
     }
 
     #[test]
@@ -668,22 +590,43 @@ insert E 3 3
             path.to_str().unwrap(),
         ]);
         assert_eq!(out.lines().collect::<Vec<_>>(), vec!["1", "3", "4"]);
-        // Same counts through every engine and thread cap: incremental
-        // maintenance (relalg engines) and the DP fallback agree.
-        for engine in ["relalg", "relalg-par", "fpt", "brute-force"] {
-            for threads in ["1", "2"] {
-                let again = run_ok(&[
-                    "count",
-                    "--query",
-                    "(x) := exists u . E(x,u)",
-                    "--stream",
-                    path.to_str().unwrap(),
-                    "--engine",
-                    engine,
-                    "--threads",
-                    threads,
-                ]);
-                assert_eq!(again, out, "engine {engine}, threads {threads}");
+    }
+
+    #[test]
+    fn every_engine_and_thread_count_agree_on_count_batch_and_stream() {
+        let dir = std::env::temp_dir().join("epq-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let batch = dir.join("agree.structures");
+        std::fs::write(
+            &batch,
+            format!("{DATA}\nstructure {{ universe 3 E = {{ (0,1), (1,1) }} }}"),
+        )
+        .unwrap();
+        let stream = dir.join("agree.stream");
+        std::fs::write(&stream, STREAM_LOG).unwrap();
+        let query = "(w,x,y,z) := E(x,y) & (E(w,x) | (E(y,z) & E(z,z)))";
+        let inputs: [[&str; 2]; 3] = [
+            ["--data-inline", DATA],
+            ["--batch", batch.to_str().unwrap()],
+            ["--stream", stream.to_str().unwrap()],
+        ];
+        for [flag, value] in inputs {
+            let expected = run_ok(&["count", "--query", query, flag, value, "--threads", "1"]);
+            for engine in ENGINES {
+                for threads in ["1", "2", "4"] {
+                    let out = run_ok(&[
+                        "count",
+                        "--query",
+                        query,
+                        flag,
+                        value,
+                        "--engine",
+                        engine,
+                        "--threads",
+                        threads,
+                    ]);
+                    assert_eq!(out, expected, "{flag}: engine {engine}, threads {threads}");
+                }
             }
         }
     }

@@ -55,8 +55,7 @@ pub mod prelude {
     pub use epq_core::plus::plus_decomposition;
     pub use epq_core::prepared::{classify_query_cached, count_ep_batch, PreparedQuery};
     pub use epq_counting::engines::{
-        BruteForceEngine, FptEngine, HomDpEngine, ParBruteForceEngine, ParFptEngine,
-        ParRelalgEngine, PpCountingEngine, RelalgEngine,
+        BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
     };
     pub use epq_logic::parser::parse_query;
     pub use epq_logic::query::infer_signature;

@@ -3,11 +3,10 @@
 //!
 //! The paths compared:
 //! * brute-force ep evaluation (syntax-directed, the ground truth);
-//! * the φ*/φ⁺ pipeline with the FPT engine (`epq-core`);
-//! * the φ*/φ⁺ pipeline with the brute-force pp engine;
-//! * the φ*/φ⁺ pipeline with the work-sharded parallel engines
-//!   (`fpt-par` / `brute-par`, at 2 and 4 threads);
-//! * relational-algebra UCQ materialization (`epq-relalg`);
+//! * the φ*/φ⁺ pipeline (`epq-core`) with every pp engine, each at 1,
+//!   2 and 4 worker threads;
+//! * relational-algebra UCQ materialization (`epq-relalg`) at 1, 2 and
+//!   4 worker threads;
 //! * disjunct-level brute union counting.
 //!
 //! (Engine-level randomized agreement, including thread-count
@@ -15,6 +14,7 @@
 
 use epq::prelude::*;
 use epq_counting::brute;
+use epq_counting::engines::all_engines;
 use epq_logic::dnf;
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
@@ -25,41 +25,26 @@ fn check_all_paths(query: &Query, b: &Structure) {
     let sig = b.signature().clone();
     let expected = brute::count_ep_brute(query, b);
 
-    let via_fpt = epq::core::count::count_ep(query, &sig, b, &FptEngine).unwrap();
-    assert_eq!(
-        via_fpt, expected,
-        "φ* pipeline + FPT engine\nquery: {query}\nB: {b}"
-    );
-
-    let via_bf = epq::core::count::count_ep(query, &sig, b, &BruteForceEngine).unwrap();
-    assert_eq!(
-        via_bf, expected,
-        "φ* pipeline + brute engine\nquery: {query}"
-    );
-
-    for threads in [2usize, 4] {
-        let via_fpt_par =
-            epq::core::count::count_ep(query, &sig, b, &ParFptEngine::new(threads)).unwrap();
-        assert_eq!(
-            via_fpt_par, expected,
-            "φ* pipeline + fpt-par engine at {threads} threads\nquery: {query}\nB: {b}"
-        );
-        let via_brute_par =
-            epq::core::count::count_ep(query, &sig, b, &ParBruteForceEngine::new(threads)).unwrap();
-        assert_eq!(
-            via_brute_par, expected,
-            "φ* pipeline + brute-par engine at {threads} threads\nquery: {query}\nB: {b}"
-        );
+    for threads in [1usize, 2, 4] {
+        let prepared = PreparedQuery::prepare(query, &sig)
+            .unwrap()
+            .with_threads(threads);
+        for engine in all_engines() {
+            assert_eq!(
+                prepared.count_with(b, engine.as_ref()),
+                expected,
+                "φ* pipeline + {} engine at {threads} threads\nquery: {query}\nB: {b}",
+                engine.name()
+            );
+        }
     }
 
     let ds = dnf::disjuncts(query, &sig).unwrap();
-    let via_relalg = epq::relalg::count_ucq(&ds, b);
-    assert_eq!(via_relalg, expected, "relalg union\nquery: {query}\nB: {b}");
-    for threads in [2usize, 4] {
-        let via_relalg_par = epq::relalg::count_ucq_par(&ds, b, threads);
+    for threads in [1usize, 2, 4] {
         assert_eq!(
-            via_relalg_par, expected,
-            "pool-parallel relalg union at {threads} threads\nquery: {query}\nB: {b}"
+            epq::relalg::count_ucq(&ds, b, threads),
+            expected,
+            "relalg union at {threads} threads\nquery: {query}\nB: {b}"
         );
     }
 

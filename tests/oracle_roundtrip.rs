@@ -72,7 +72,7 @@ fn general_roundtrip_with_sentences_on_random_structures() {
         let mut rng = StdRng::seed_from_u64(seed);
         let b = epq_workloads::data::random_structure(&mut rng, &sig, 3, 0.3, 100);
         let mut oracle_fn = |d: &Structure| {
-            epq::core::count::count_ep_with(&dec, query.liberal_count(), d, &FptEngine)
+            epq::core::count::count_ep_with(&dec, query.liberal_count(), d, &FptEngine, 1)
         };
         let recovered =
             oracle::recover_plus_counts(&dec, query.liberal_count(), &b, &mut oracle_fn);

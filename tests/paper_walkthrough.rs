@@ -229,7 +229,7 @@ fn example_5_21_theta_plus() {
     assert_eq!(dec.sentences.len(), 1);
     // And counting through the decomposition matches brute force.
     let b = example_c();
-    let via_dec = epq::core::count::count_ep_with(&dec, q.liberal_count(), &b, &FptEngine);
+    let via_dec = epq::core::count::count_ep_with(&dec, q.liberal_count(), &b, &FptEngine, 1);
     assert_eq!(via_dec, epq_counting::brute::count_ep_brute(&q, &b));
 }
 
