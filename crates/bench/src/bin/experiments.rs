@@ -263,7 +263,8 @@ struct P2Row {
 
 /// P2 — the prepared-query architecture: prepare-once vs
 /// prepare-per-call on a 32-structure batch, batch-vs-loop fan-out at
-/// 1/2/4 threads, and the classifier cache. Writes `BENCH_prepared.json`
+/// 1/2/4 threads, cold prepare+count on random UCQs checked against
+/// brute force, and the classifier cache. Writes `BENCH_prepared.json`
 /// (override the path with `EPQ_BENCH_PREPARED_JSON`); **exits nonzero
 /// if any amortized or batched count disagrees** with the
 /// prepare-per-call sequential reference — CI's second bench-smoke
@@ -414,6 +415,24 @@ thread-count independent)",
         }
     );
 
+    // Cold prepare end to end on random UCQs: the whole per-query phase
+    // (DNF, φ* merge, φ⁺ filter) runs for every query, and every count
+    // is checked against brute force, so a wrong merge fails the gate.
+    let (cold_ucq_us, cold_ucq_mismatches) = p2_cold_ucq();
+    rows.push(P2Row {
+        series: "prepare",
+        variant: "cold-ucq".into(),
+        batch: P2_COLD_UCQS,
+        threads: 1,
+        median_us: cold_ucq_us,
+        agrees: cold_ucq_mismatches == 0,
+    });
+    print_row(rows.last().unwrap());
+    println!(
+        "  -> cold prepare+count per random UCQ (median over {P2_COLD_UCQS}); \
+{cold_ucq_mismatches} disagree with brute force"
+    );
+
     // Classifier cache: second classification of the same canonical
     // query must be a hit.
     classifier_cache_clear();
@@ -478,6 +497,46 @@ thread-count independent)",
         std::process::exit(1);
     }
     println!("  all prepared and batched counts agree with the per-call reference \u{2714}\n");
+}
+
+/// Number of random UCQs in P2's `prepare/cold-ucq` series.
+const P2_COLD_UCQS: usize = 64;
+
+/// P2's `prepare/cold-ucq` series: seeded random UCQs shaped like the
+/// epqbench ucq-churn workload (3–5 disjuncts of 2 atoms over `{E, F}`,
+/// 4 variables, quantify 0.35), each on its own random 10–12-element
+/// structure. Each query is prepared without the cache and counted.
+/// Returns the median µs per query and how many counts disagree with
+/// [`brute::count_ep_brute`].
+fn p2_cold_ucq() -> (f64, usize) {
+    use epq_core::prepared::PreparedQuery;
+    use rand::Rng;
+    let sig = Signature::from_symbols([("E", 2), ("F", 2)]);
+    let mut rng = StdRng::seed_from_u64(2026);
+    let mut samples = Vec::with_capacity(P2_COLD_UCQS);
+    let mut mismatches = 0;
+    while samples.len() < P2_COLD_UCQS {
+        let disjuncts = rng.gen_range(3..=5usize);
+        let query = queries::random_ucq_over(&mut rng, &sig, disjuncts, 4, 2, 0.35);
+        if query.is_sentence() {
+            continue;
+        }
+        let n = rng.gen_range(10..=12usize);
+        let b = data::random_structure(&mut rng, &sig, n, 0.15, n * n);
+        let mut count = None;
+        samples.push(time_us(3, || {
+            count = Some(
+                PreparedQuery::prepare_uncached(&query, &sig)
+                    .unwrap()
+                    .count(&b),
+            );
+        }));
+        if count != Some(brute::count_ep_brute(&query, &b)) {
+            mismatches += 1;
+        }
+    }
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    (samples[samples.len() / 2], mismatches)
 }
 
 /// Renders the P2 report as JSON (by hand; the container has no serde).

@@ -13,6 +13,22 @@
 //! (equal counts whenever both counts are positive) iff their liberal
 //! parts `φ̂` are counting equivalent.
 //!
+//! **Fingerprints.** When `φ₁` and `φ₂` are cores (of their augmented
+//! structures, as [`PpFormula::core`] returns them), renaming equivalence
+//! is an isomorphism that sends liberal elements onto liberal elements.
+//! Let `h : A₁ → A₂` and `g : A₂ → A₁` be the homomorphisms extending the
+//! two liberal bijections. `g∘h` permutes `S₁`, so a power of it fixes
+//! `S₁` pointwise and is an endomorphism of the core `aug(A₁, S₁)`, hence
+//! an automorphism. So `h` is injective, and by the same argument on
+//! `h∘g` so is `g`. Injective homomorphisms both ways force equal
+//! universes and equal tuple counts per relation, so `h` is a bijection
+//! onto `A₂` that maps every relation onto its counterpart. Every
+//! invariant of such isomorphisms, such as [`RenamingFingerprint`], is
+//! therefore equal on counting-equivalent cores. Unequal fingerprints
+//! rule a pair out without a search, but equal fingerprints prove
+//! nothing: the bijection search still decides every pair that shares
+//! one.
+//!
 //! The proof of Theorem 5.4 constructs blow-up structures `D_{j,T}` to
 //! extract surjective-map counts by a Vandermonde argument; that
 //! construction is implemented and validated here too ([`blow_up`],
@@ -21,6 +37,54 @@
 use epq_bigint::{Integer, Natural};
 use epq_logic::PpFormula;
 use epq_structures::{hom, Structure};
+
+/// An invariant of liberal-set-preserving isomorphism (see the module
+/// docs). Equal on any two counting-equivalent **cores**, so it buckets
+/// candidates for [`counting_equivalent`] without deciding anything.
+/// The universe size, the liberal count and the per-relation tuple
+/// counts are implied by the two multisets.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct RenamingFingerprint {
+    /// Per tuple `(relation, shape)`, sorted. Position `p` of the shape
+    /// holds the first position with the same element as `p`, and
+    /// whether that element is liberal.
+    tuples: Vec<(u32, Vec<(u32, bool)>)>,
+    /// Per element `(is liberal, occurrences per relation position)`,
+    /// sorted. Positions are numbered through the signature in order.
+    elements: Vec<(bool, Vec<u32>)>,
+}
+
+/// The [`RenamingFingerprint`] of `core`. Only meaningful as a filter
+/// when `core` is the output of [`PpFormula::core`].
+pub fn renaming_fingerprint(core: &PpFormula) -> RenamingFingerprint {
+    let structure = core.structure();
+    let signature = structure.signature();
+    let liberal = |e: u32| (e as usize) < core.liberal_count();
+    let positions: usize = signature.iter().map(|(_, _, arity)| arity).sum();
+    let mut elements: Vec<(bool, Vec<u32>)> = (0..structure.universe_size() as u32)
+        .map(|e| (liberal(e), vec![0; positions]))
+        .collect();
+    let mut tuples = Vec::with_capacity(structure.tuple_count());
+    let mut offset = 0;
+    for (rel, _, arity) in signature.iter() {
+        for t in structure.relation(rel).tuples() {
+            let shape = (0..arity)
+                .map(|p| {
+                    let first = t[..p].iter().position(|&e| e == t[p]).unwrap_or(p);
+                    (first as u32, liberal(t[p]))
+                })
+                .collect();
+            tuples.push((rel.0, shape));
+            for (p, &e) in t.iter().enumerate() {
+                elements[e as usize].1[offset + p] += 1;
+            }
+        }
+        offset += arity;
+    }
+    tuples.sort_unstable();
+    elements.sort_unstable();
+    RenamingFingerprint { tuples, elements }
+}
 
 /// Whether two pp-formulas are renaming equivalent (Definition 5.3):
 /// bijections between the liberal sets extending to homomorphisms in both

@@ -19,12 +19,42 @@
 //! equivalent (answer-preserving, so all counts are unchanged), make
 //! counting-equivalence checks cheaper, and are the objects whose
 //! treewidth the tractability condition measures anyway.
+//!
+//! Cores also make the merge cheap. Two counting-equivalent cores are
+//! isomorphic by a map that keeps the liberal set (see
+//! [`crate::equivalence`]), so [`merge_terms`] buckets terms by a
+//! [`RenamingFingerprint`] of their cores and runs the bijection search
+//! only within a bucket. Almost every pair of terms is told apart by its
+//! fingerprint. The fingerprint only prunes: a pair with equal
+//! fingerprints is still decided by [`counting_equivalent`], so the
+//! merged terms, their coefficients and their order are exactly those
+//! of a search over all pairs.
 
-use crate::equivalence::counting_equivalent;
+use crate::equivalence::{counting_equivalent, renaming_fingerprint, RenamingFingerprint};
 use epq_bigint::{Integer, Natural};
 use epq_counting::PpCountingEngine;
+use epq_logic::query::LogicError;
 use epq_logic::PpFormula;
 use epq_structures::Structure;
+use std::collections::HashMap;
+
+/// The most disjuncts an inclusion–exclusion expansion may take: it has
+/// `2^s − 1` terms, so beyond this the `φ*` phase is infeasible.
+pub const MAX_IEX_DISJUNCTS: usize = 24;
+
+/// Rejects an expansion over more than [`MAX_IEX_DISJUNCTS`] disjuncts
+/// before any of it is built.
+pub fn check_disjunct_limit(disjuncts: usize) -> Result<(), LogicError> {
+    if disjuncts > MAX_IEX_DISJUNCTS {
+        return Err(LogicError {
+            message: format!(
+                "inclusion-exclusion over {disjuncts} disjuncts exceeds the limit of \
+                 {MAX_IEX_DISJUNCTS}"
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// A pp-formula with an integer coefficient in a signed sum.
 #[derive(Clone, Debug)]
@@ -40,13 +70,14 @@ pub struct SignedPp {
 /// replaced by its core.
 ///
 /// # Panics
-/// Panics on an empty disjunct list, or if `s` exceeds 24 (the expansion
-/// would be astronomically large; the formula is the parameter).
+/// Panics on an empty disjunct list, or if `s` exceeds
+/// [`MAX_IEX_DISJUNCTS`]. Callers with a `Result` path check
+/// [`check_disjunct_limit`] first.
 pub fn inclusion_exclusion_terms(disjuncts: &[PpFormula]) -> Vec<SignedPp> {
     let s = disjuncts.len();
     assert!(s >= 1, "inclusion-exclusion needs at least one disjunct");
     assert!(
-        s <= 24,
+        s <= MAX_IEX_DISJUNCTS,
         "inclusion-exclusion over {s} disjuncts is infeasible"
     );
     let mut subsets: Vec<u32> = (1..(1u32 << s)).collect();
@@ -70,16 +101,25 @@ pub fn inclusion_exclusion_terms(disjuncts: &[PpFormula]) -> Vec<SignedPp> {
 
 /// Merges counting-equivalent terms and drops zero coefficients,
 /// producing `φ*` with its coefficients (Proposition 5.16). Terms keep
-/// first-appearance order.
+/// first-appearance order. A term is tested only against earlier terms
+/// whose cores share its [`RenamingFingerprint`]; the `core()` call is a
+/// clone for the cored terms [`inclusion_exclusion_terms`] emits.
 pub fn merge_terms(terms: Vec<SignedPp>) -> Vec<SignedPp> {
     let mut merged: Vec<SignedPp> = Vec::new();
+    let mut buckets: HashMap<RenamingFingerprint, Vec<usize>> = HashMap::new();
     for term in terms {
-        match merged
-            .iter_mut()
-            .find(|m| counting_equivalent(&m.formula, &term.formula))
+        let bucket = buckets
+            .entry(renaming_fingerprint(&term.formula.core()))
+            .or_default();
+        match bucket
+            .iter()
+            .find(|&&i| counting_equivalent(&merged[i].formula, &term.formula))
         {
-            Some(m) => m.coefficient += &term.coefficient,
-            None => merged.push(term),
+            Some(&i) => merged[i].coefficient += &term.coefficient,
+            None => {
+                bucket.push(merged.len());
+                merged.push(term);
+            }
         }
     }
     merged.retain(|m| !m.coefficient.is_zero());

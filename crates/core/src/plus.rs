@@ -16,7 +16,7 @@
 //! and counting for `φ⁺` are interreducible; Theorem 3.2 reads the
 //! trichotomy off the treewidth profile of `φ⁺`.
 
-use crate::iex::{star, SignedPp};
+use crate::iex::{check_disjunct_limit, star, SignedPp};
 use epq_logic::query::LogicError;
 use epq_logic::{dnf, PpFormula, Query};
 use epq_structures::Signature;
@@ -70,18 +70,32 @@ impl PlusDecomposition {
 }
 
 /// Computes the `φ⁺` decomposition of a query (Theorem 3.1's algorithm).
+/// Fails if the query does not match `signature`, or if its normalized
+/// free disjuncts are too many to expand ([`check_disjunct_limit`]).
 pub fn plus_decomposition(
     query: &Query,
     signature: &Signature,
 ) -> Result<PlusDecomposition, LogicError> {
-    let raw = dnf::disjuncts(query, signature)?;
-    Ok(plus_decomposition_of_normalized(dnf::normalize(raw)))
+    let disjuncts = dnf::normalize(dnf::disjuncts(query, signature)?);
+    check_free_disjunct_limit(&disjuncts)?;
+    Ok(plus_decomposition_of_normalized(disjuncts))
+}
+
+/// [`check_disjunct_limit`] on the free disjuncts, the ones `φ*_af`
+/// expands.
+pub(crate) fn check_free_disjunct_limit(disjuncts: &[PpFormula]) -> Result<(), LogicError> {
+    check_disjunct_limit(disjuncts.iter().filter(|d| d.is_free()).count())
 }
 
 /// The `φ⁺` construction starting from already **normalized** disjuncts
 /// (the output of [`dnf::normalize`]). [`crate::prepared`] uses this to
 /// avoid re-expanding the DNF after computing a query's canonical cache
 /// key from the same disjunct list.
+///
+/// # Panics
+/// Panics if there are more free disjuncts than
+/// [`crate::iex::MAX_IEX_DISJUNCTS`]; [`plus_decomposition`] and
+/// [`crate::prepared::PreparedQuery::prepare`] check this first.
 pub fn plus_decomposition_of_normalized(disjuncts: Vec<PpFormula>) -> PlusDecomposition {
     let (all_free, sentences): (Vec<PpFormula>, Vec<PpFormula>) =
         disjuncts.iter().cloned().partition(|d| d.is_free());
@@ -217,6 +231,24 @@ mod tests {
                 "{text}"
             );
         }
+    }
+
+    #[test]
+    fn too_many_free_disjuncts_is_an_error_before_expanding() {
+        // Five two-way clauses over distinct relations: 32 free
+        // disjuncts, none normalized away.
+        let text = (0..5)
+            .map(|i| format!("(E{i}(x,y) | F{i}(x,y))"))
+            .collect::<Vec<_>>()
+            .join(" & ");
+        let q = parse_query(&text).unwrap();
+        let sig = epq_logic::query::infer_signature([q.formula()]).unwrap();
+        let err = plus_decomposition(&q, &sig).unwrap_err();
+        assert!(err.message.contains("32 disjuncts"), "{err}");
+        assert!(err.message.contains("limit of 24"), "{err}");
+        use crate::prepared::PreparedQuery;
+        assert_eq!(PreparedQuery::prepare(&q, &sig).err(), Some(err.clone()));
+        assert_eq!(PreparedQuery::prepare_uncached(&q, &sig).err(), Some(err));
     }
 
     #[test]

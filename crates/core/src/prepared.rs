@@ -36,7 +36,7 @@
 
 use crate::classify::{analyze_decomposition, classify_widths, QueryAnalysis, Regime};
 use crate::count::count_ep_with;
-use crate::plus::{plus_decomposition_of_normalized, PlusDecomposition};
+use crate::plus::{check_free_disjunct_limit, plus_decomposition_of_normalized, PlusDecomposition};
 use epq_bigint::Natural;
 use epq_counting::engines::{FptEngine, PpCountingEngine};
 use epq_logic::query::LogicError;
@@ -162,6 +162,7 @@ impl PreparedQuery {
         // the decomposition, so a cache hit pays it exactly once.
         let raw = dnf::disjuncts(query, signature)?;
         let disjuncts = dnf::normalize(raw);
+        check_free_disjunct_limit(&disjuncts)?;
         if !use_cache {
             let entry = Arc::new(PreparedEntry {
                 decomposition: plus_decomposition_of_normalized(disjuncts),

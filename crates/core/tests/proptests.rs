@@ -2,17 +2,20 @@
 //! random queries/structures, the batched prepared-query API is
 //! bit-identical to sequential counting at every thread count, and
 //! incremental streaming maintenance agrees with from-scratch recounts
-//! after every random insert sequence.
+//! after every random insert sequence, and the fingerprint-bucketed `φ*`
+//! merge is exactly the merge that searches every pair.
 
 use epq_core::count::{count_ep, count_ep_with};
-use epq_core::iex::star;
+use epq_core::equivalence::{counting_equivalent, renaming_fingerprint};
+use epq_core::iex::{inclusion_exclusion_terms, star, SignedPp};
 use epq_core::incremental::LiveCount;
 use epq_core::oracle;
 use epq_core::plus::plus_decomposition;
 use epq_core::prepared::{count_ep_batch, PreparedQuery};
 use epq_counting::brute;
 use epq_counting::engines::{FptEngine, RelalgEngine};
-use epq_logic::dnf;
+use epq_logic::{dnf, Atom, PpFormula, Var};
+use epq_structures::Signature;
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -203,6 +206,140 @@ proptest! {
         let expected = brute::count_ep_brute(&query, &final_structure);
         for (i, m) in maintainers.iter_mut().enumerate() {
             prop_assert_eq!(&m.current(), &expected, "maintainer {} vs brute force", i);
+        }
+    }
+}
+
+/// The `φ*` merge as it was before fingerprint bucketing: each term is
+/// tested against every earlier merged term. The oracle for
+/// `bucketed_merge_is_the_all_pairs_merge`.
+fn merge_all_pairs(terms: Vec<SignedPp>) -> Vec<SignedPp> {
+    let mut merged: Vec<SignedPp> = Vec::new();
+    for term in terms {
+        match merged
+            .iter_mut()
+            .find(|m| counting_equivalent(&m.formula, &term.formula))
+        {
+            Some(m) => m.coefficient += &term.coefficient,
+            None => merged.push(term),
+        }
+    }
+    merged.retain(|m| !m.coefficient.is_zero());
+    merged
+}
+
+/// The free normalized disjuncts of a random UCQ in ucq-churn's shape:
+/// `{E/2, F/2}`, 4 variables, 2 atoms per disjunct, quantify 0.35.
+fn churn_free_disjuncts(qseed: u64, disjuncts: usize) -> Vec<PpFormula> {
+    let sig = Signature::from_symbols([("E", 2), ("F", 2)]);
+    let query = queries::random_ucq_over(
+        &mut StdRng::seed_from_u64(qseed),
+        &sig,
+        disjuncts,
+        4,
+        2,
+        0.35,
+    );
+    dnf::normalize(dnf::disjuncts(&query, &sig).unwrap())
+        .into_iter()
+        .filter(|d| d.is_free())
+        .collect()
+}
+
+/// `f` rebuilt through `PpFormula::from_parts` with its liberal elements
+/// permuted among themselves and its quantified elements permuted among
+/// themselves.
+fn relabeled(f: &PpFormula, rng: &mut StdRng) -> PpFormula {
+    use rand::Rng;
+    let s = f.liberal_count();
+    let n = f.structure().universe_size();
+    let mut shuffled = |range: std::ops::Range<usize>| {
+        let mut v: Vec<usize> = range.collect();
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+        v
+    };
+    // Liberal element i is renamed so that sorting puts it at lib[i];
+    // quantified element s + i becomes q{i}, listed in shuffled order.
+    let lib = shuffled(0..s);
+    let order = shuffled(0..n - s);
+    let name = |e: u32| {
+        let e = e as usize;
+        if e < s {
+            Var::new(format!("l{:02}", lib[e]))
+        } else {
+            Var::new(format!("q{}", e - s))
+        }
+    };
+    let mut atoms = Vec::new();
+    for (rel, rel_name, _) in f.signature().iter() {
+        for t in f.structure().relation(rel).tuples() {
+            atoms.push(Atom::new(rel_name, t.iter().map(|&e| name(e)).collect()));
+        }
+    }
+    PpFormula::from_parts(
+        f.signature(),
+        (0..s as u32).map(name).collect(),
+        order.iter().map(|&i| name((s + i) as u32)).collect(),
+        &atoms,
+    )
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `star` buckets terms by the fingerprints of their cores; the
+    /// result must be bit-identical to the all-pairs merge: same terms,
+    /// same coefficients, same order. Every pair the search merges must
+    /// share a fingerprint, or bucketing could split it.
+    #[test]
+    fn bucketed_merge_is_the_all_pairs_merge(
+        qseed in 0u64..100_000,
+        disjuncts in 2usize..=5,
+    ) {
+        let free = churn_free_disjuncts(qseed, disjuncts);
+        prop_assume!(!free.is_empty());
+        let raw = inclusion_exclusion_terms(&free);
+        let prints: Vec<_> = raw.iter().map(|t| renaming_fingerprint(&t.formula)).collect();
+        for i in 0..raw.len() {
+            for j in i + 1..raw.len() {
+                if counting_equivalent(&raw[i].formula, &raw[j].formula) {
+                    prop_assert_eq!(&prints[i], &prints[j], "terms {} and {}", i, j);
+                }
+            }
+        }
+        let expected = merge_all_pairs(raw);
+        let actual = star(&free);
+        prop_assert_eq!(actual.len(), expected.len());
+        for (a, e) in actual.iter().zip(&expected) {
+            prop_assert_eq!(&a.coefficient, &e.coefficient);
+            // Equal formulas, not merely counting-equivalent ones.
+            prop_assert_eq!(&a.formula, &e.formula);
+        }
+    }
+
+    /// The fingerprint of a core does not change when its liberal
+    /// elements are permuted among themselves and its quantified
+    /// elements among themselves.
+    #[test]
+    fn fingerprints_survive_liberal_preserving_relabelings(
+        qseed in 0u64..100_000,
+        pseed in 0u64..100_000,
+        disjuncts in 2usize..=5,
+    ) {
+        let free = churn_free_disjuncts(qseed, disjuncts);
+        prop_assume!(!free.is_empty());
+        let mut rng = StdRng::seed_from_u64(pseed);
+        for term in star(&free) {
+            let moved = relabeled(&term.formula, &mut rng);
+            prop_assert!(counting_equivalent(&moved, &term.formula));
+            prop_assert_eq!(
+                renaming_fingerprint(&moved),
+                renaming_fingerprint(&term.formula),
+                "{} vs {}", moved, term.formula
+            );
         }
     }
 }

@@ -64,22 +64,25 @@ fn dnf_pieces(f: &Formula) -> Vec<Formula> {
 /// sentence disjunct), keeping the earliest among equivalent sentence
 /// disjuncts. The result is logically equivalent to the input disjunction.
 pub fn normalize(disjuncts: Vec<PpFormula>) -> Vec<PpFormula> {
-    let mut kept: Vec<PpFormula> = Vec::new();
+    // Each kept disjunct with whether it is a sentence, so the scans
+    // below test that once per disjunct rather than once per pair.
+    let mut kept: Vec<(PpFormula, bool)> = Vec::new();
     'candidate: for candidate in disjuncts {
         // Skip the candidate if an existing sentence disjunct subsumes it.
-        for existing in &kept {
-            if existing.is_sentence() && candidate.entails(existing) {
+        for (existing, sentence) in &kept {
+            if *sentence && candidate.entails(existing) {
                 continue 'candidate;
             }
         }
         // If the candidate is a sentence, drop all existing disjuncts it
         // subsumes.
-        if candidate.is_sentence() {
-            kept.retain(|existing| !existing.entails(&candidate));
+        let sentence = candidate.is_sentence();
+        if sentence {
+            kept.retain(|(existing, _)| !existing.entails(&candidate));
         }
-        kept.push(candidate);
+        kept.push((candidate, sentence));
     }
-    kept
+    kept.into_iter().map(|(disjunct, _)| disjunct).collect()
 }
 
 /// Full UCQ minimization: drops every disjunct that entails another

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// A prenex pp-formula as a pair `(A, S)`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct PpFormula {
     /// The structure **A** over the query's signature.
     structure: Structure,
@@ -26,7 +26,20 @@ pub struct PpFormula {
     /// Number of liberal elements (they occupy indices `0..liberal_count`,
     /// sorted by name).
     liberal_count: usize,
+    /// Set only on the output of [`PpFormula::core`], so that coring it
+    /// again is a clone. Not part of equality.
+    is_core: bool,
 }
+
+impl PartialEq for PpFormula {
+    fn eq(&self, other: &Self) -> bool {
+        self.structure == other.structure
+            && self.names == other.names
+            && self.liberal_count == other.liberal_count
+    }
+}
+
+impl Eq for PpFormula {}
 
 impl PpFormula {
     /// Converts a primitive positive [`Query`] into its structure view.
@@ -113,6 +126,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count,
+            is_core: false,
         })
     }
 
@@ -197,7 +211,16 @@ impl PpFormula {
     /// The core of the pp-formula: the core of aug(A, S) with the pin
     /// relations stripped, re-canonicalized. Liberal elements always
     /// survive coring (their pins force fixpoints).
+    ///
+    /// The result is marked as a core, and `core()` on a marked formula
+    /// returns a clone: the `φ*` terms are cores already, so the
+    /// classifier and the fpt engine, which core every formula they are
+    /// given, pay nothing for them. Every other constructor leaves the
+    /// mark unset, and the mark plays no part in `==`.
     pub fn core(&self) -> PpFormula {
+        if self.is_core {
+            return self.clone();
+        }
         let aug = self.augmented();
         let (core_aug, map) = core::core_of(&aug);
         // Where did each liberal element land? Pins guarantee they are all
@@ -236,6 +259,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count: self.liberal_count,
+            is_core: true,
         }
     }
 
@@ -278,6 +302,7 @@ impl PpFormula {
             structure,
             names: self.names.clone(),
             liberal_count: self.liberal_count,
+            is_core: false,
         }
     }
 
@@ -299,6 +324,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count,
+            is_core: false,
         }
     }
 
@@ -353,6 +379,7 @@ impl PpFormula {
             structure,
             names,
             liberal_count,
+            is_core: false,
         }
     }
 
@@ -603,6 +630,46 @@ mod tests {
         let core = phi.core();
         assert_eq!(core.liberal_count(), 2);
         assert!(core.names().contains(&Var::new("z")));
+    }
+
+    #[test]
+    fn core_of_a_core_is_the_same_marked_core() {
+        let phi = example_2_2();
+        let core = phi.core();
+        assert!(core.is_core);
+        let again = core.core();
+        assert!(again.is_core);
+        assert_eq!(again, core);
+        assert_eq!(again.names(), core.names());
+        assert_eq!(again.liberal_count(), core.liberal_count());
+    }
+
+    #[test]
+    fn only_core_marks_its_output() {
+        let phi = example_2_2();
+        assert!(!phi.is_core);
+        let core = phi.core();
+        // `from_query` builds through `from_parts`.
+        let rebuilt = PpFormula::from_query(&core.to_query(), core.signature()).unwrap();
+        assert!(!rebuilt.is_core);
+        assert!(!PpFormula::conjoin(&[&core]).is_core);
+        assert!(!PpFormula::conjoin(&[&core, &core]).is_core);
+        assert!(!core.hat().is_core);
+        assert!(core.components().iter().all(|c| !c.is_core));
+    }
+
+    #[test]
+    fn the_core_mark_plays_no_part_in_equality() {
+        // x is liberal and E(x,u) is already a core: coring rebuilds an
+        // equal formula that differs only in the mark.
+        let phi = pp(
+            &["x"],
+            Formula::exists(&["u"], Formula::atom("E", &["x", "u"])),
+        );
+        let core = phi.core();
+        assert!(core.is_core && !phi.is_core);
+        assert_eq!(core, phi);
+        assert_eq!(phi, core);
     }
 
     #[test]

@@ -22,14 +22,18 @@ pub fn homomorphically_equivalent(a: &Structure, b: &Structure) -> bool {
 /// homomorphically into **A** restricted to `universe ∖ {v}` (such a map
 /// witnesses hom-equivalence with the smaller induced substructure); when
 /// no element can be dropped, every endomorphism is surjective and the
-/// structure is a core.
+/// structure is a core. An element of the only tuple of some relation is
+/// never probed: without it that relation would be empty, so its search
+/// would fail, and skipping it leaves the result unchanged. This spares
+/// `aug(A, S)` one failed search per pinned element.
 pub fn core_of(a: &Structure) -> (Structure, Vec<u32>) {
     let mut current = a.clone();
     // element_of[i] = original element of `a` behind current index i.
     let mut element_of: Vec<u32> = (0..a.universe_size() as u32).collect();
     'outer: loop {
         let n = current.universe_size();
-        for drop in 0..n as u32 {
+        let fixed = undroppable(&current);
+        for drop in (0..n as u32).filter(|&v| !fixed[v as usize]) {
             let rest: Vec<u32> = (0..n as u32).filter(|&v| v != drop).collect();
             let (candidate, map) = current.induced_substructure(&rest);
             if homomorphism_exists(&current, &candidate) {
@@ -40,6 +44,25 @@ pub fn core_of(a: &Structure) -> (Structure, Vec<u32>) {
         }
         return (current, element_of);
     }
+}
+
+/// `fixed[v]` ⇔ `v` lies in the only tuple of some relation of `a`, so
+/// the induced substructure on `universe ∖ {v}` has that relation empty
+/// and `a` cannot map into it. The `@pin{i}` relations of an augmented
+/// structure make every pinned element one of these.
+fn undroppable(a: &Structure) -> Vec<bool> {
+    let mut fixed = vec![false; a.universe_size()];
+    for (rel, _, _) in a.signature().iter() {
+        let relation = a.relation(rel);
+        if relation.len() == 1 {
+            for t in relation.tuples() {
+                for &v in t {
+                    fixed[v as usize] = true;
+                }
+            }
+        }
+    }
+    fixed
 }
 
 /// Whether `a` is a core (no proper retract).

@@ -1,6 +1,6 @@
 //! Property tests for the structures substrate: homomorphism counting
 //! laws under products and unions, core idempotence, parse/display
-//! round-trips, and augmentation pinning.
+//! round-trips, augmentation pinning, and `core_of`'s skipped probes.
 
 use epq_bigint::Natural;
 use epq_structures::{core, hom, iso, ops, parse, Signature, Structure};
@@ -139,5 +139,66 @@ proptest! {
         let single = hom::count_homomorphisms(&a, &b);
         let lhs = hom::count_homomorphisms(&a, &squared);
         prop_assert_eq!(lhs, &single * &single);
+    }
+}
+
+/// Strategy: a random structure on up to 5 elements over `E/2`, `U/1`
+/// and `V/1`. `U` always holds exactly one element; `V` holds a random
+/// subset, so it is sometimes a singleton too.
+fn structure_with_unary_singletons() -> impl Strategy<Value = Structure> {
+    (1usize..=5, any::<u32>(), 0u32..5, any::<u32>()).prop_map(|(n, e_mask, u, v_mask)| {
+        let sig = Signature::from_symbols([("E", 2), ("U", 1), ("V", 1)]);
+        let mut s = Structure::new(sig, n);
+        for (bit, (x, y)) in (0..n as u32)
+            .flat_map(|x| (0..n as u32).map(move |y| (x, y)))
+            .enumerate()
+        {
+            if e_mask & (1 << (bit % 32)) != 0 {
+                s.add_tuple_named("E", &[x, y]);
+            }
+        }
+        s.add_tuple_named("U", &[u % n as u32]);
+        for x in 0..n as u32 {
+            if v_mask & (1 << x) != 0 {
+                s.add_tuple_named("V", &[x]);
+            }
+        }
+        s
+    })
+}
+
+/// `core_of` as it was before it skipped elements that cannot be
+/// dropped: every element is probed.
+fn core_probing_every_element(a: &Structure) -> (Structure, Vec<u32>) {
+    let mut current = a.clone();
+    let mut element_of: Vec<u32> = (0..a.universe_size() as u32).collect();
+    'outer: loop {
+        let n = current.universe_size();
+        for drop in 0..n as u32 {
+            let rest: Vec<u32> = (0..n as u32).filter(|&v| v != drop).collect();
+            let (candidate, map) = current.induced_substructure(&rest);
+            if hom::homomorphism_exists(&current, &candidate) {
+                element_of = map.iter().map(|&m| element_of[m as usize]).collect();
+                current = candidate;
+                continue 'outer;
+            }
+        }
+        return (current, element_of);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn skipping_undroppable_elements_keeps_the_core(a in structure_with_unary_singletons()) {
+        let (core, map) = core::core_of(&a);
+        prop_assert!(core::is_core(&core));
+        prop_assert!(core::homomorphically_equivalent(&a, &core));
+        let (reference, reference_map) = core_probing_every_element(&a);
+        // The skipped probes would all have failed, so the same
+        // elements are dropped in the same order.
+        prop_assert_eq!(map, reference_map);
+        prop_assert_eq!(core, reference);
     }
 }

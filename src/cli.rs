@@ -8,7 +8,7 @@
 
 use epq_core::classify::classify_query;
 use epq_core::equivalence::{counting_equivalent, semi_counting_equivalent};
-use epq_core::iex::star;
+use epq_core::iex::{check_disjunct_limit, star};
 use epq_core::plus::plus_decomposition;
 use epq_core::prepared::PreparedQuery;
 use epq_counting::engines::{
@@ -104,6 +104,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             let query = required(args, "--query")?;
             let (q, sig) = prepare(&query, None)?;
             let ds = dnf::disjuncts(&q, &sig).map_err(|e| e.to_string())?;
+            check_disjunct_limit(ds.len()).map_err(|e| e.to_string())?;
             writeln!(out, "disjuncts: {}", ds.len()).map_err(io)?;
             for d in &ds {
                 writeln!(out, "  | {d}").map_err(io)?;

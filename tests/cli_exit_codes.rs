@@ -20,3 +20,29 @@ fn engine_names_that_encoded_a_thread_count_are_rejected() {
         );
     }
 }
+
+#[test]
+fn too_many_disjuncts_is_an_error_not_a_panic() {
+    // Twelve two-way clauses expand to 4096 disjuncts, far past the
+    // inclusion-exclusion limit: the limit is checked before expanding.
+    let query = (0..12)
+        .map(|i| format!("(E{i}(x,y) | F{i}(x,y))"))
+        .collect::<Vec<_>>()
+        .join(" & ");
+    for sub in ["star", "plus"] {
+        let start = std::time::Instant::now();
+        let output = Command::new(env!("CARGO_BIN_EXE_epq"))
+            .args([sub, "--query", &query])
+            .output()
+            .expect("epq runs");
+        let elapsed = start.elapsed();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{sub}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{sub}: {stderr}");
+        assert!(stderr.starts_with("epq: "), "{sub}: {stderr}");
+        assert!(stderr.contains("4096 disjuncts"), "{sub}: {stderr}");
+        if sub == "star" {
+            assert!(elapsed.as_secs_f64() < 1.0, "{sub} took {elapsed:?}");
+        }
+    }
+}
