@@ -1,13 +1,12 @@
 //! Regenerates every table and series recorded in `EXPERIMENTS.md`
 //! (ids `T1`, `E1`–`E6`, `F1`–`F4`, `A1`–`A3`), plus the CI
 //! bench-smoke gates: `P1` (every engine at 1, 2 and 4 worker threads
-//! against itself at 1; writes `BENCH_engines.json`), `P2`
-//! (prepared-query amortization and batched counting; writes
-//! `BENCH_prepared.json`), and `P4` (incremental streaming maintenance
-//! vs prepare-once/recount-each-checkpoint; writes
-//! `BENCH_streaming.json`). All gates exit nonzero on any count
-//! disagreement; `P4` also exits nonzero when incremental maintenance
-//! is slower than recounting.
+//! against itself at 1), `P2` (prepared-query amortization and batched
+//! counting), and `P4` (incremental streaming maintenance vs
+//! prepare-once/recount-each-checkpoint). The gates and `F1` exit
+//! nonzero on any count disagreement; `P4` also exits nonzero when
+//! incremental maintenance is slower than recounting. Nothing is
+//! written to disk: every row goes to stdout.
 //!
 //! ```sh
 //! cargo run -p epq-bench --release --bin experiments                # all
@@ -16,8 +15,7 @@
 //! ```
 
 use epq_bench::{
-    json_escape, p4_stream_log, pp_of, row, rule, stream_incremental, stream_recount, time_engine,
-    time_us,
+    p4_stream_log, pp_of, row, rule, stream_incremental, stream_recount, time_engine, time_us,
 };
 use epq_core::classify::FamilyReport;
 use epq_core::count::{count_ep, count_ep_with};
@@ -26,9 +24,7 @@ use epq_core::iex::{evaluate_signed_sum, inclusion_exclusion_terms, star};
 use epq_core::oracle;
 use epq_core::plus::plus_decomposition;
 use epq_counting::brute;
-use epq_counting::engines::{
-    all_engines, BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine,
-};
+use epq_counting::engines::{all_engines, BruteForceEngine, FptEngine, PpCountingEngine};
 use epq_graph::cliques;
 use epq_logic::parser::parse_query;
 use epq_logic::query::infer_signature;
@@ -112,10 +108,8 @@ struct P1Row {
 /// setting, and a hard agreement gate (every count must equal the
 /// first engine's 1-thread count for the same input).
 ///
-/// Writes a machine-readable report to `BENCH_engines.json` (override
-/// the path with `EPQ_BENCH_JSON`); CI's `bench-smoke` job uploads it
-/// as an artifact. **Exits nonzero if any count disagrees** — this is
-/// the cheap perf+correctness gate that runs on every PR.
+/// **Exits nonzero if any count disagrees** — this is the cheap
+/// perf+correctness gate that runs on every PR.
 fn p1_engine_threads() {
     println!("== P1: engines at 1/2/4 threads — speedup and agreement vs 1 thread ==");
     let host = epq_pool::available_threads();
@@ -143,7 +137,7 @@ fn p1_engine_threads() {
 
     // qpath3 is the largest `engines` bench family (fpt's boundary
     // sweep dominates); path2 is quantifier-free, where brute force's
-    // sharded assignment sweep and hom-dp's DP carry the work.
+    // sharded assignment sweep carries the work.
     let families = [
         (
             "qpath3",
@@ -213,42 +207,11 @@ fn p1_engine_threads() {
     }
 
     let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    let path = std::env::var("EPQ_BENCH_JSON").unwrap_or_else(|_| "BENCH_engines.json".to_string());
-    let json = p1_json(&rows, host, disagreements);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("  report written to {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
-    }
     if disagreements > 0 {
         eprintln!("P1 FAILED: {disagreements} count(s) disagree across engines or threads");
         std::process::exit(1);
     }
     println!("  all engines agree at every thread count ✔\n");
-}
-
-/// Renders the P1 report as JSON (by hand; the container has no serde).
-fn p1_json(rows: &[P1Row], host_threads: usize, disagreements: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"P1\",\n");
-    out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"engine\": \"{}\", \"n\": {}, \"threads\": {}, \
-             \"median_us\": {:.1}, \"count\": \"{}\", \"agrees\": {}}}{}\n",
-            json_escape(r.family),
-            json_escape(r.engine),
-            r.n,
-            r.threads,
-            r.median_us,
-            json_escape(&r.count),
-            r.agrees,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// One measured configuration of the P2 prepared-query comparison.
@@ -264,9 +227,8 @@ struct P2Row {
 /// P2 — the prepared-query architecture: prepare-once vs
 /// prepare-per-call on a 32-structure batch, batch-vs-loop fan-out at
 /// 1/2/4 threads, cold prepare+count on random UCQs checked against
-/// brute force, and the classifier cache. Writes `BENCH_prepared.json`
-/// (override the path with `EPQ_BENCH_PREPARED_JSON`); **exits nonzero
-/// if any amortized or batched count disagrees** with the
+/// brute force, and the classifier cache. **Exits nonzero if any
+/// amortized or batched count disagrees** with the
 /// prepare-per-call sequential reference — CI's second bench-smoke
 /// gate.
 fn p2_prepared_queries() {
@@ -477,19 +439,6 @@ thread-count independent)",
     );
 
     let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    let path = std::env::var("EPQ_BENCH_PREPARED_JSON")
-        .unwrap_or_else(|_| "BENCH_prepared.json".to_string());
-    let json = p2_json(
-        &rows,
-        host,
-        disagreements,
-        per_call_us / once_us,
-        loop_us / widest_us,
-    );
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("  report written to {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
-    }
     if disagreements > 0 {
         eprintln!(
             "P2 FAILED: {disagreements} prepared/batched count(s) disagree with the reference"
@@ -539,40 +488,6 @@ fn p2_cold_ucq() -> (f64, usize) {
     (samples[samples.len() / 2], mismatches)
 }
 
-/// Renders the P2 report as JSON (by hand; the container has no serde).
-fn p2_json(
-    rows: &[P2Row],
-    host_threads: usize,
-    disagreements: usize,
-    prepare_speedup: f64,
-    batch_speedup: f64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"P2\",\n");
-    out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
-    out.push_str(&format!(
-        "  \"prepare_once_speedup\": {prepare_speedup:.2},\n"
-    ));
-    out.push_str(&format!("  \"batch_speedup\": {batch_speedup:.2},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"variant\": \"{}\", \"batch\": {}, \
-\"threads\": {}, \"median_us\": {:.1}, \"agrees\": {}}}{}\n",
-            json_escape(r.series),
-            json_escape(&r.variant),
-            r.batch,
-            r.threads,
-            r.median_us,
-            r.agrees,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// One measured configuration of the P4 streaming comparison.
 struct P4Row {
     family: &'static str,
@@ -588,14 +503,12 @@ struct P4Row {
 /// recount-each-checkpoint on the same insert log. A second, smaller
 /// family runs the DP-table fallback (`fpt` engine) for agreement.
 ///
-/// Writes a machine-readable report to `BENCH_streaming.json`
-/// (override the path with `EPQ_BENCH_STREAMING_JSON`); CI's
-/// `bench-smoke` job uploads it. **Exits nonzero if any checkpoint
-/// count disagrees** between incremental maintenance and the
-/// from-scratch recount, **or if `incremental_speedup` is below
-/// [`P4_MIN_INCREMENTAL_SPEEDUP`]** — both variants are measured in
-/// this very run, so incremental maintenance slower than recounting
-/// means the caching layer lost its reason to exist.
+/// **Exits nonzero if any checkpoint count disagrees** between
+/// incremental maintenance and the from-scratch recount, **or if
+/// `incremental_speedup` is below [`P4_MIN_INCREMENTAL_SPEEDUP`]** —
+/// both variants are measured in this very run, so incremental
+/// maintenance slower than recounting means the caching layer lost its
+/// reason to exist.
 fn p4_streaming() {
     use epq_counting::engines::RelalgEngine;
 
@@ -713,13 +626,6 @@ fn p4_streaming() {
     print_row(rows.last().unwrap());
 
     let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    let path = std::env::var("EPQ_BENCH_STREAMING_JSON")
-        .unwrap_or_else(|_| "BENCH_streaming.json".to_string());
-    let json = p4_json(&rows, disagreements, incremental_speedup);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("  report written to {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
-    }
     if disagreements > 0 {
         eprintln!(
             "P4 FAILED: {disagreements} incremental checkpoint series disagree with recounts"
@@ -738,32 +644,6 @@ fn p4_streaming() {
 
 /// The P4 gate's floor on `incremental_speedup`.
 const P4_MIN_INCREMENTAL_SPEEDUP: f64 = 1.0;
-
-/// Renders the P4 report as JSON (by hand; the container has no serde).
-fn p4_json(rows: &[P4Row], disagreements: usize, incremental_speedup: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"P4\",\n");
-    out.push_str(&format!("  \"disagreements\": {disagreements},\n"));
-    out.push_str(&format!(
-        "  \"incremental_speedup\": {incremental_speedup:.2},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"variant\": \"{}\", \"inserts\": {}, \
-             \"checkpoints\": {}, \"median_us\": {:.1}, \"agrees\": {}}}{}\n",
-            json_escape(r.family),
-            json_escape(r.variant),
-            r.inserts,
-            r.checkpoints,
-            r.median_us,
-            r.agrees,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
 
 /// A1 — ablation: Lemma 5.12's distinguishing structure, randomized
 /// search vs the paper's deterministic amplification.
@@ -1188,51 +1068,51 @@ fn e6_general_recovery() {
 }
 
 /// F1 — engine scaling on an FPT-family query (Theorem 3.2 case 1).
+///
+/// **Exits nonzero if any engine's count disagrees** with the first
+/// engine's on the same input, in F1 or F1b.
 fn f1_engine_scaling() {
     println!("== F1: engine scaling, query Q_3(x,y) = ∃u,v path (FPT family) ==");
     let query = queries::quantified_path_query(3);
     let pp = pp_of(&query);
-    let widths = [8, 12, 14, 14, 14, 14];
-    println!(
-        "{}",
-        row(
-            &[
-                "n".into(),
-                "count".into(),
-                "brute us".into(),
-                "relalg us".into(),
-                "hom-dp us".into(),
-                "fpt us".into()
-            ],
-            &widths
-        )
-    );
+    let engines = all_engines();
+    let mut widths = vec![8, 12];
+    let mut header = vec!["n".to_string(), "count".to_string()];
+    for engine in &engines {
+        widths.push(14);
+        header.push(format!("{} us", engine.name()));
+    }
+    println!("{}", row(&header, &widths));
     println!("{}", rule(&widths));
+    let mut disagreements = 0;
     for n in [8usize, 16, 32, 64, 128] {
         let b = data::random_digraph(&mut StdRng::seed_from_u64(n as u64), n, 0.08);
         let mut cells = vec![n.to_string()];
-        let mut count = String::new();
-        for engine in all_engines() {
+        let mut reference: Option<String> = None;
+        for engine in &engines {
             let runs = if engine.name() == "brute-force" && n > 64 {
                 1
             } else {
                 3
             };
-            let (c, us) = time_engine(engine.as_ref(), &pp, &b, 1, runs);
-            count = c;
+            let (count, us) = time_engine(engine.as_ref(), &pp, &b, 1, runs);
+            if count != *reference.get_or_insert_with(|| count.clone()) {
+                eprintln!("  n={n}: {} counts {count}", engine.name());
+                disagreements += 1;
+            }
             cells.push(format!("{us:.0}"));
         }
-        cells.insert(1, count);
+        cells.insert(1, reference.unwrap_or_default());
         println!("{}", row(&cells, &widths));
     }
-    println!("  (all engines agree on counts; FPT/hom-dp/relalg scale polynomially)\n");
+    println!("  (FPT and relalg scale polynomially)\n");
 
     // F1b: the real FPT payoff is in *query-size* scaling — a free path
     // P_k has k+1 liberal variables, so brute force pays |B|^(k+1) while
-    // the DP engines stay polynomial.
+    // the DP engine stays polynomial.
     println!("== F1b: query-size scaling, free paths P_k on G(8, 0.25) ==");
     let b = data::random_digraph(&mut StdRng::seed_from_u64(99), 8, 0.25);
-    let widths = [6, 12, 14, 14, 14];
+    let widths = [6, 12, 14, 14];
     println!(
         "{}",
         row(
@@ -1240,7 +1120,6 @@ fn f1_engine_scaling() {
                 "k".into(),
                 "count".into(),
                 "brute us".into(),
-                "hom-dp us".into(),
                 "fpt us".into()
             ],
             &widths
@@ -1250,8 +1129,11 @@ fn f1_engine_scaling() {
     for k in [2usize, 3, 4, 5, 6] {
         let pp = pp_of(&queries::path_query(k));
         let (count, brute_us) = time_engine(&BruteForceEngine, &pp, &b, 1, 1);
-        let (_, dp_us) = time_engine(&HomDpEngine, &pp, &b, 1, 3);
-        let (_, fpt_us) = time_engine(&FptEngine, &pp, &b, 1, 3);
+        let (fpt_count, fpt_us) = time_engine(&FptEngine, &pp, &b, 1, 3);
+        if fpt_count != count {
+            eprintln!("  k={k}: fpt counts {fpt_count}, brute-force {count}");
+            disagreements += 1;
+        }
         println!(
             "{}",
             row(
@@ -1259,14 +1141,18 @@ fn f1_engine_scaling() {
                     k.to_string(),
                     count,
                     format!("{brute_us:.0}"),
-                    format!("{dp_us:.0}"),
                     format!("{fpt_us:.0}")
                 ],
                 &widths
             )
         );
     }
-    println!("  (brute force pays |B|^(k+1); the DP engines stay flat — the FPT crossover)\n");
+    println!("  (brute force pays |B|^(k+1); the DP engine stays flat — the FPT crossover)");
+    if disagreements > 0 {
+        eprintln!("F1 FAILED: {disagreements} engine count(s) disagree with the first engine");
+        std::process::exit(1);
+    }
+    println!("  all engines agree on counts \u{2714}\n");
 }
 
 /// F2 — #Clique-hardness (Theorem 3.2 case 3): counting k-cliques by

@@ -1,18 +1,16 @@
-//! # epq-bench — benchmark harness and experiment runner
+//! # epq-bench — experiment runner
 //!
 //! Crate S9 of the `epq` workspace (see `DESIGN.md`).
 //!
-//! Two entry points:
+//! The **`experiments` binary** (`cargo run -p epq-bench --release --bin
+//! experiments -- [ids…]`) prints every paper table and series (T1,
+//! E1–E6, F1–F4, A1–A3) and runs the CI agreement gates P1, P2 and P4,
+//! each of which exits nonzero when a count disagrees. End-to-end
+//! latency and throughput are measured by the separate `epqbench`
+//! workspace, not here.
 //!
-//! * the **`experiments` binary** (`cargo run -p epq-bench --release --bin
-//!   experiments -- [ids…]`) regenerates every table and series recorded
-//!   in `EXPERIMENTS.md` (T1, E1–E6, F1–F4);
-//! * the **Criterion benches** (`cargo bench -p epq-bench`) measure the
-//!   same workloads with statistical rigor, one bench target per
-//!   experiment group.
-//!
-//! This library holds the shared workload builders and measurement
-//! helpers used by both.
+//! This library holds the workload builders and timing helpers the
+//! binary shares.
 
 use epq_counting::engines::PpCountingEngine;
 use epq_logic::query::infer_signature;
@@ -61,8 +59,7 @@ pub fn time_engine(
 /// checkpoint at its end), then a hot stream into `F` with a
 /// checkpoint every `checkpoint_every` inserts — the traffic shape
 /// where most writes land on one relation while the query also reads
-/// a large, quiet one. Shared by the `P4` experiment gate and the
-/// `streaming` bench suite so both measure the same pipeline.
+/// a large, quiet one.
 pub fn p4_stream_log(
     n: usize,
     seed_inserts: usize,
@@ -137,26 +134,6 @@ pub fn stream_recount(
     counts
 }
 
-/// Escapes a string for inclusion in a JSON string literal (quotes,
-/// backslashes, and control characters). The experiments binary emits
-/// its machine-readable reports (`BENCH_engines.json`) by hand — the
-/// offline container has no serde.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats a row of fixed-width columns.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells
@@ -192,13 +169,6 @@ mod tests {
         let b = data::path_structure(5);
         let (count, _) = time_engine(&epq_counting::engines::FptEngine, &pp, &b, 2, 2);
         assert_eq!(count, "3");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\n\t\u{1}"), "x\\n\\t\\u0001");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub fn count_ep_with(
 /// A thin wrapper over [`PreparedQuery`]: the per-query phase goes
 /// through the process-wide prepared-query cache, so repeated calls
 /// with canonically-equal queries pay it once. Hold a [`PreparedQuery`]
-/// directly (or use [`crate::prepared::count_ep_batch`]) to amortize
+/// directly (or use [`PreparedQuery::count_batch`]) to amortize
 /// explicitly over many structures.
 pub fn count_ep(
     query: &Query,
@@ -73,17 +73,6 @@ pub fn count_ep(
     engine: &dyn PpCountingEngine,
 ) -> Result<Natural, LogicError> {
     Ok(PreparedQuery::prepare(query, signature)?.count_with(b, engine))
-}
-
-/// Convenience: parse, infer the signature, and count with the FPT
-/// engine. Panics on malformed input — intended for examples and tests.
-pub fn count_ep_text(query_text: &str, b: &Structure) -> Natural {
-    let query = epq_logic::parser::parse_query(query_text).expect("query parses");
-    epq_logic::query::check_against_signature(query.formula(), b.signature())
-        .expect("query matches the structure's signature");
-    let prepared =
-        PreparedQuery::prepare(&query, b.signature()).expect("prepared query construction");
-    prepared.count(b)
 }
 
 #[cfg(test)]
@@ -101,6 +90,14 @@ mod tests {
             s.add_tuple_named("E", &[u, v]);
         }
         s
+    }
+
+    /// Parses `text` and counts it on `b` with the FPT engine.
+    fn count_text(text: &str, b: &Structure) -> Natural {
+        let query = parse_query(text).unwrap();
+        PreparedQuery::prepare(&query, b.signature())
+            .unwrap()
+            .count(b)
     }
 
     fn check_against_brute(text: &str, b: &Structure) {
@@ -135,7 +132,7 @@ mod tests {
         // C contains a directed 3-path, so the sentence disjunct holds and
         // the count is |B|^4 = 256.
         let text = "(w,x,y,z) := E(x,y) | (exists a, b, c, d . E(a,b) & E(b,c) & E(c,d))";
-        assert_eq!(count_ep_text(text, &b).to_u64(), Some(256));
+        assert_eq!(count_text(text, &b).to_u64(), Some(256));
     }
 
     #[test]
@@ -147,7 +144,7 @@ mod tests {
         b.add_tuple_named("E", &[2, 3]);
         let text = "(x, y) := E(x,y) | (exists a, b, c . E(a,b) & E(b,c))";
         // No 2-path → count = |E| = 2.
-        assert_eq!(count_ep_text(text, &b).to_u64(), Some(2));
+        assert_eq!(count_text(text, &b).to_u64(), Some(2));
         check_against_brute(text, &b);
     }
 
@@ -168,16 +165,13 @@ mod tests {
     #[test]
     fn pure_sentence_queries_count_zero_or_one() {
         let b = example_c();
-        assert_eq!(count_ep_text("exists a . E(a,a)", &b).to_u64(), Some(1));
+        assert_eq!(count_text("exists a . E(a,a)", &b).to_u64(), Some(1));
         let sig = Signature::from_symbols([("E", 2)]);
         let mut no_loop = Structure::new(sig, 3);
         no_loop.add_tuple_named("E", &[0, 1]);
+        assert_eq!(count_text("exists a . E(a,a)", &no_loop).to_u64(), Some(0));
         assert_eq!(
-            count_ep_text("exists a . E(a,a)", &no_loop).to_u64(),
-            Some(0)
-        );
-        assert_eq!(
-            count_ep_text("(exists a . E(a,a)) | (exists b, c . E(b,c))", &no_loop).to_u64(),
+            count_text("(exists a . E(a,a)) | (exists b, c . E(b,c))", &no_loop).to_u64(),
             Some(1)
         );
     }
@@ -186,7 +180,7 @@ mod tests {
     fn empty_structure() {
         let sig = Signature::from_symbols([("E", 2)]);
         let empty = Structure::new(sig, 0);
-        assert_eq!(count_ep_text("E(x,y) | E(y,x)", &empty).to_u64(), Some(0));
+        assert_eq!(count_text("E(x,y) | E(y,x)", &empty).to_u64(), Some(0));
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!   [`epq_relalg::ScanCache`]: only atoms over dirty relations
 //!   rescan, the joins replay on mostly-cached inputs;
 //! * **the DP-table fallback** — for every other engine (`fpt`,
-//!   `hom-dp`, `brute-force`) a dirty relation feeds DP tables or
-//!   enumeration state that cannot be patched, so each *affected* term
-//!   is fully recounted through the engine (clean terms still come
-//!   from the cache).
+//!   `brute-force`) a dirty relation feeds DP tables or enumeration
+//!   state that cannot be patched, so each *affected* term is fully
+//!   recounted through the engine (clean terms still come from the
+//!   cache).
 //!
 //! Both paths run on up to the prepared query's
 //! [`PreparedQuery::threads`] workers; `LiveCount` has no thread
@@ -48,7 +48,7 @@ use epq_bigint::Natural;
 use epq_counting::brute::universe_power;
 use epq_logic::PpFormula;
 use epq_relalg::{count_pp_cached, ScanCache};
-use epq_structures::{LiveStructure, RelId, StreamOp, Structure};
+use epq_structures::{LiveStructure, RelId, StreamOp, Structure, UnknownRelation};
 use std::fmt;
 
 /// Error from [`LiveCount::new`].
@@ -197,14 +197,21 @@ impl LiveCount {
         added
     }
 
-    /// [`LiveCount::insert_tuple`] by relation name.
-    pub fn insert_tuple_named(&mut self, name: &str, tuple: &[u32]) -> bool {
+    /// [`LiveCount::insert_tuple`] by relation name; an unknown name is
+    /// an error and inserts nothing.
+    pub fn insert_tuple_named(
+        &mut self,
+        name: &str,
+        tuple: &[u32],
+    ) -> Result<bool, UnknownRelation> {
         let rel = self
             .live
             .signature()
             .lookup(name)
-            .unwrap_or_else(|| panic!("unknown relation {name:?}"));
-        self.insert_tuple(rel, tuple)
+            .ok_or_else(|| UnknownRelation {
+                name: name.to_string(),
+            })?;
+        Ok(self.insert_tuple(rel, tuple))
     }
 
     /// Applies one stream operation: inserts return `None`,
@@ -337,7 +344,7 @@ mod tests {
             assert_eq!(lc.uses_cached_relalg(), scan_based);
             assert_eq!(lc.current(), lc.recount_from_scratch(), "empty structure");
             for (name, tuple) in inserts {
-                lc.insert_tuple_named(name, tuple);
+                lc.insert_tuple_named(name, tuple).unwrap();
                 assert_eq!(
                     lc.current(),
                     lc.recount_from_scratch(),
@@ -382,17 +389,17 @@ mod tests {
             prepare("(x, y) := E(x,y) | (exists a . F(a,a))").with_engine(Box::new(RelalgEngine));
         let live = live_for(&prepared, 3);
         let mut lc = LiveCount::new(prepared, live).unwrap();
-        lc.insert_tuple_named("E", &[0, 1]);
+        lc.insert_tuple_named("E", &[0, 1]).unwrap();
         assert_eq!(lc.current().to_u64(), Some(1));
         // The F loop fires the sentence: count pins at |B|² = 9.
-        lc.insert_tuple_named("F", &[2, 2]);
+        lc.insert_tuple_named("F", &[2, 2]).unwrap();
         assert_eq!(lc.current().to_u64(), Some(9));
         assert_eq!(lc.recount_from_scratch().to_u64(), Some(9));
         let rechecks = lc.stats().sentence_rechecks;
         // Saturated maintenance is O(1): further inserts recheck
         // nothing and recount nothing.
         let recounts = lc.stats().term_recounts;
-        lc.insert_tuple_named("E", &[1, 2]);
+        lc.insert_tuple_named("E", &[1, 2]).unwrap();
         assert_eq!(lc.current().to_u64(), Some(9));
         assert_eq!(lc.stats().sentence_rechecks, rechecks);
         assert_eq!(lc.stats().term_recounts, recounts);
@@ -406,11 +413,11 @@ mod tests {
         let prepared = prepare("(x, y) := E(x,y) | F(x,y)").with_engine(Box::new(RelalgEngine));
         let live = live_for(&prepared, 4);
         let mut lc = LiveCount::new(prepared, live).unwrap();
-        lc.insert_tuple_named("E", &[0, 1]);
+        lc.insert_tuple_named("E", &[0, 1]).unwrap();
         let _ = lc.current();
         let baseline = lc.stats();
         for i in 0..3u32 {
-            lc.insert_tuple_named("F", &[i, i + 1]);
+            lc.insert_tuple_named("F", &[i, i + 1]).unwrap();
             assert_eq!(lc.current(), lc.recount_from_scratch());
         }
         let after = lc.stats();
@@ -429,7 +436,7 @@ mod tests {
         let live = live_for(&prepared, 5);
         let mut lc = LiveCount::new(prepared, live).unwrap();
         for i in 0..4u32 {
-            lc.insert_tuple_named("E", &[i, i + 1]);
+            lc.insert_tuple_named("E", &[i, i + 1]).unwrap();
         }
         let _ = lc.current();
         let stats = lc.stats();
@@ -445,10 +452,10 @@ mod tests {
         let live = live_for(&prepared, 3);
         let mut lc = LiveCount::new(prepared, live).unwrap();
         assert!(!lc.uses_cached_relalg());
-        lc.insert_tuple_named("E", &[1, 1]);
+        lc.insert_tuple_named("E", &[1, 1]).unwrap();
         assert_eq!(lc.current(), lc.recount_from_scratch());
         assert!(lc.stats().engine_fallbacks > 0);
-        lc.insert_tuple_named("F", &[2, 2]);
+        lc.insert_tuple_named("F", &[2, 2]).unwrap();
         assert_eq!(lc.current(), lc.recount_from_scratch());
     }
 
@@ -470,7 +477,7 @@ mod tests {
             inserts
                 .iter()
                 .map(|(name, t)| {
-                    lc.insert_tuple_named(name, t);
+                    lc.insert_tuple_named(name, t).unwrap();
                     lc.current()
                 })
                 .collect()
@@ -489,10 +496,11 @@ mod tests {
         let prepared = prepare("E(x,y)").with_engine(Box::new(RelalgEngine));
         let live = live_for(&prepared, 3);
         let mut lc = LiveCount::new(prepared, live).unwrap();
-        assert!(lc.insert_tuple_named("E", &[0, 1]));
+        assert!(lc.insert_tuple_named("E", &[0, 1]).unwrap());
         assert_eq!(lc.current().to_u64(), Some(1));
         let reconciles = lc.stats().reconciles;
-        assert!(!lc.insert_tuple_named("E", &[0, 1]));
+        assert!(!lc.insert_tuple_named("E", &[0, 1]).unwrap());
+        assert_eq!(lc.insert_tuple_named("G", &[0, 1]).unwrap_err().name, "G");
         assert_eq!(lc.current().to_u64(), Some(1));
         assert_eq!(lc.stats().reconciles, reconciles, "duplicate is a no-op");
     }
@@ -506,7 +514,7 @@ mod tests {
         }
         let mut lc = LiveCount::new(prepared, LiveStructure::from_structure(s)).unwrap();
         assert_eq!(lc.current(), lc.recount_from_scratch());
-        lc.insert_tuple_named("E", &[3, 3]);
+        lc.insert_tuple_named("E", &[3, 3]).unwrap();
         assert_eq!(lc.current(), lc.recount_from_scratch());
     }
 

@@ -29,7 +29,8 @@
 //! * [`prepared`] — the **prepared-query architecture**: the per-query
 //!   phase (normalize → `φ⁺` → width analysis) computed once and
 //!   memoized process-wide by canonical form, with batched,
-//!   pool-parallel per-structure counting ([`count_ep_batch`]);
+//!   pool-parallel per-structure counting
+//!   ([`PreparedQuery::count_batch`]);
 //! * [`incremental`] — **streaming maintenance**: [`LiveCount`] keeps a
 //!   prepared query's answer count current while the structure grows
 //!   tuple by tuple, recomputing only the disjuncts that read a dirty
@@ -53,6 +54,6 @@ pub use iex::{inclusion_exclusion_terms, star, SignedPp};
 pub use incremental::{LiveCount, LiveCountStats};
 pub use plus::{plus_decomposition, PlusDecomposition};
 pub use prepared::{
-    classifier_cache_clear, classifier_cache_stats, classify_query_cached, count_ep_batch,
-    CacheStats, PreparedQuery,
+    classifier_cache_clear, classifier_cache_stats, classify_query_cached, CacheStats,
+    PreparedQuery,
 };

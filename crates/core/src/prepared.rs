@@ -15,9 +15,9 @@
 //! * [`PreparedQuery::count`] / [`PreparedQuery::count_with`] run only
 //!   the per-structure phase, with the engine capped at the prepared
 //!   thread count ([`PreparedQuery::with_threads`], default 1);
-//! * [`count_ep_batch`] / [`PreparedQuery::count_batch`] fan the
-//!   per-structure phase across the shared `epq-pool` workers, one job
-//!   per structure, results in input order and **bit-identical** to a
+//! * [`PreparedQuery::count_batch`] fans the per-structure phase
+//!   across the shared `epq-pool` workers, one job per structure,
+//!   results in input order and **bit-identical** to a
 //!   sequential loop (each job is the single-threaded per-structure
 //!   algorithm; the pool only schedules which worker runs it);
 //! * [`PreparedQuery::analysis`] computes the trichotomy width measures
@@ -339,14 +339,6 @@ impl PreparedQuery {
     }
 }
 
-/// Counts a prepared query over a batch of structures on every
-/// available hardware thread — the amortized-classification,
-/// parallel-fan-out entry point of the crate. See
-/// [`PreparedQuery::count_batch`] for the determinism contract.
-pub fn count_ep_batch(prepared: &PreparedQuery, structures: &[Structure]) -> Vec<Natural> {
-    prepared.count_batch(structures, epq_pool::available_threads())
-}
-
 /// [`crate::classify::classify_query`] through the process-wide
 /// prepared-query cache: the expensive `φ⁺`/treewidth work runs at most
 /// once per canonical query per process.
@@ -587,7 +579,6 @@ mod tests {
                 "threads = {threads}"
             );
         }
-        assert_eq!(count_ep_batch(&p, &structures), sequential);
     }
 
     /// Records the `threads` argument of every engine call.

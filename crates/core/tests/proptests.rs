@@ -11,7 +11,7 @@ use epq_core::iex::{inclusion_exclusion_terms, star, SignedPp};
 use epq_core::incremental::LiveCount;
 use epq_core::oracle;
 use epq_core::plus::plus_decomposition;
-use epq_core::prepared::{count_ep_batch, PreparedQuery};
+use epq_core::prepared::PreparedQuery;
 use epq_counting::brute;
 use epq_counting::engines::{FptEngine, RelalgEngine};
 use epq_logic::{dnf, Atom, PpFormula, Var};
@@ -130,7 +130,10 @@ proptest! {
                 "threads = {}", threads
             );
         }
-        prop_assert_eq!(count_ep_batch(&prepared, &structures), sequential);
+        prop_assert_eq!(
+            prepared.count_batch(&structures, epq_pool::available_threads()),
+            sequential
+        );
     }
 }
 

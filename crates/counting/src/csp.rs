@@ -302,20 +302,20 @@ pub fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
     out
 }
 
-/// Counts homomorphisms `a → b` by the tree-decomposition DP
-/// (the Dalmau–Jonsson algorithm when `a`'s Gaifman graph has bounded
-/// treewidth) on up to `threads` threads (see [`TdCounter::count`]).
-/// Exact for every input; efficient when the treewidth is small.
-pub fn count_homs_td(a: &Structure, b: &Structure, threads: usize) -> Natural {
-    TdCounter::new(a.universe_size(), b.universe_size(), hom_constraints(a, b)).count(&[], threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use epq_structures::hom::count_homomorphisms;
     use epq_structures::Signature;
     use std::collections::HashSet;
+
+    /// Counts homomorphisms `a → b` by the tree-decomposition DP (the
+    /// Dalmau–Jonsson algorithm), for checking [`hom_constraints`] and
+    /// [`TdCounter`] against backtracking.
+    fn count_homs_td(a: &Structure, b: &Structure, threads: usize) -> Natural {
+        TdCounter::new(a.universe_size(), b.universe_size(), hom_constraints(a, b))
+            .count(&[], threads)
+    }
 
     fn digraph(n: usize, edges: &[(u32, u32)]) -> Structure {
         let sig = Signature::from_symbols([("E", 2)]);

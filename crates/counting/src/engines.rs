@@ -1,5 +1,5 @@
-//! A common interface over the pp-counting engines, for cross-checking
-//! tests and the benchmark harness (experiment F1).
+//! A common interface over the pp-counting engines, for the CLI's
+//! `--engine` flag, cross-checking tests and experiment F1.
 
 use epq_bigint::Natural;
 use epq_logic::PpFormula;
@@ -80,29 +80,6 @@ impl PpCountingEngine for RelalgEngine {
     }
 }
 
-/// The `#Hom` tree-decomposition dynamic program (Dalmau–Jonsson).
-///
-/// Directly applicable to quantifier-free formulas, where
-/// `|φ(B)| = #Hom(A, B) · |B|^(#isolated liberal variables not in atoms)`
-/// — which the DP handles natively because isolated liberal variables are
-/// unconstrained CSP variables. Quantified formulas delegate to the FPT
-/// algorithm (homomorphism counts do not project).
-pub struct HomDpEngine;
-
-impl PpCountingEngine for HomDpEngine {
-    fn name(&self) -> &'static str {
-        "hom-dp"
-    }
-
-    fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
-        if pp.quantified_names().is_empty() {
-            crate::csp::count_homs_td(pp.structure(), b, threads)
-        } else {
-            crate::fpt::count_pp_fpt(pp, b, threads)
-        }
-    }
-}
-
 /// The full FPT algorithm (\[CM15\]; see [`crate::fpt`]).
 pub struct FptEngine;
 
@@ -116,12 +93,12 @@ impl PpCountingEngine for FptEngine {
     }
 }
 
-/// Every engine, for cross-checking loops.
+/// Every engine, for cross-checking loops and name lookup (the CLI's
+/// `--engine` resolves against [`PpCountingEngine::name`]).
 pub fn all_engines() -> Vec<Box<dyn PpCountingEngine>> {
     vec![
         Box::new(BruteForceEngine),
         Box::new(RelalgEngine),
-        Box::new(HomDpEngine),
         Box::new(FptEngine),
     ]
 }
@@ -185,11 +162,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names: Vec<&str> = all_engines().iter().map(|e| e.name()).collect();
-        assert_eq!(names, ["brute-force", "relalg", "hom-dp", "fpt"]);
     }
 }

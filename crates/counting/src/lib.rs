@@ -20,9 +20,9 @@
 //!   boundary via bounded-treewidth homomorphism checks, then count
 //!   assignments by dynamic programming over a tree decomposition of
 //!   contract(A, S);
-//! * [`engines`] — a common trait over the four engines (brute force,
-//!   relational algebra, #Hom-DP, FPT) for the cross-checking tests and
-//!   benchmarks. Thread count is a call parameter
+//! * [`engines`] — a common trait over the three engines (brute force,
+//!   relational algebra, FPT) for the CLI, the cross-checking tests and
+//!   the experiments. Thread count is a call parameter
 //!   ([`PpCountingEngine::count_threaded`]): each algorithm has one code
 //!   path that shards its hot loops across the `epq-pool` workers, with
 //!   counts bit-identical at every thread count;
@@ -46,6 +46,6 @@ pub mod table;
 pub mod tupleset;
 
 pub use csp::{CspConstraint, TdCounter};
-pub use engines::{BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine};
+pub use engines::{BruteForceEngine, FptEngine, PpCountingEngine, RelalgEngine};
 pub use table::FlatTable;
 pub use tupleset::TupleSet;

@@ -14,7 +14,9 @@
 //! Identifiers are `[A-Za-z_][A-Za-z0-9_']*`; `#` starts a line comment.
 //! `&` binds tighter than `|`; `exists` extends as far right as possible.
 //! The optional head lists the liberal variables; without a head they
-//! default to the free variables.
+//! default to the free variables. Parentheses and `exists` may nest at
+//! most [`MAX_NESTING`] deep; deeper input is a [`ParseError`], not a
+//! stack overflow.
 
 use crate::formula::{Atom, Formula, Var};
 use crate::query::Query;
@@ -35,9 +37,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep parentheses and `exists` may nest. The parser (and every
+/// later pass over the formula tree) recurses once per level, so the
+/// cap keeps adversarial input from overflowing the stack.
+pub const MAX_NESTING: usize = 256;
+
 struct Cursor<'a> {
     text: &'a str,
     pos: usize,
+    /// Open parentheses and `exists` scopes around the current position.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -134,12 +143,26 @@ fn varlist(c: &mut Cursor) -> Result<Vec<Var>, ParseError> {
     Ok(vars)
 }
 
+/// Runs `inner` one nesting level deeper, or fails past [`MAX_NESTING`].
+fn nested(
+    c: &mut Cursor,
+    inner: fn(&mut Cursor) -> Result<Formula, ParseError>,
+) -> Result<Formula, ParseError> {
+    if c.depth == MAX_NESTING {
+        return Err(c.error(format!("nesting deeper than {MAX_NESTING}")));
+    }
+    c.depth += 1;
+    let result = inner(c);
+    c.depth -= 1;
+    result
+}
+
 fn unit(c: &mut Cursor) -> Result<Formula, ParseError> {
     if c.peek_keyword("exists") {
         c.eat("exists")?;
         let vars = varlist(c)?;
         c.eat(".")?;
-        let body = unit_chain(c)?;
+        let body = nested(c, unit_chain)?;
         return Ok(vars
             .into_iter()
             .rev()
@@ -150,7 +173,7 @@ fn unit(c: &mut Cursor) -> Result<Formula, ParseError> {
         return Ok(Formula::Top);
     }
     if c.try_eat("(") {
-        let f = formula(c)?;
+        let f = nested(c, formula)?;
         c.eat(")")?;
         return Ok(f);
     }
@@ -187,7 +210,11 @@ fn formula(c: &mut Cursor) -> Result<Formula, ParseError> {
 
 /// Parses a bare formula (no liberal head).
 pub fn parse_formula(text: &str) -> Result<Formula, ParseError> {
-    let mut c = Cursor { text, pos: 0 };
+    let mut c = Cursor {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     let f = formula(&mut c)?;
     if !c.at_end() {
         return Err(c.error("trailing input after formula"));
@@ -197,7 +224,11 @@ pub fn parse_formula(text: &str) -> Result<Formula, ParseError> {
 
 /// Parses a query, with an optional liberal head `(v1, …, vk) :=`.
 pub fn parse_query(text: &str) -> Result<Query, ParseError> {
-    let mut c = Cursor { text, pos: 0 };
+    let mut c = Cursor {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     // Try the head: '(' varlist ')' ':='. Backtrack if ':=' is absent.
     let saved = c.pos;
     let head = if c.try_eat("(") {
@@ -327,6 +358,20 @@ mod tests {
         assert!(parse_query("(x) := E(x,y)").is_err()); // y free but not liberal
         assert!(parse_query("").is_err());
         assert!(parse_query("123(x)").is_err());
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error() {
+        let parens = |depth: usize| format!("{}E(x,y){}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse_query(&parens(MAX_NESTING)).is_ok());
+        for text in [
+            parens(MAX_NESTING + 1),
+            parens(20_000),
+            format!("{}E(x,x)", "exists u . ".repeat(MAX_NESTING + 1)),
+        ] {
+            let err = parse_query(&text).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
     }
 
     #[test]

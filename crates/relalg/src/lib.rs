@@ -14,9 +14,9 @@
 //!
 //! * an **independent counting oracle** — tests cross-check it against the
 //!   brute-force and tree-decomposition counters of `epq-counting`;
-//! * the **baseline engine** in the benchmark suite (experiment F1), the
-//!   thing the paper's FPT algorithms are an asymptotic improvement over
-//!   (materialization is output-sensitive and can be exponential).
+//! * the **baseline engine** of experiment F1, the thing the paper's
+//!   FPT algorithms are an asymptotic improvement over (materialization
+//!   is output-sensitive and can be exponential).
 //!
 //! Columns are identified by *liberal slots* and pp-element indices (see
 //! [`epq_logic::PpFormula`]'s canonical layout), so disjuncts over the

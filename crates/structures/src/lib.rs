@@ -34,5 +34,5 @@ pub mod ops;
 pub mod parse;
 pub mod structure;
 
-pub use live::{LiveStructure, StreamLog, StreamOp};
+pub use live::{LiveStructure, StreamLog, StreamOp, UnknownRelation};
 pub use structure::{RelId, Signature, Structure};

@@ -111,16 +111,20 @@ impl LiveStructure {
         true
     }
 
-    /// [`LiveStructure::insert_tuple`] by relation name.
-    ///
-    /// # Panics
-    /// Panics on an unknown relation name.
-    pub fn insert_tuple_named(&mut self, name: &str, tuple: &[u32]) -> bool {
+    /// [`LiveStructure::insert_tuple`] by relation name; an unknown
+    /// name is an error and inserts nothing.
+    pub fn insert_tuple_named(
+        &mut self,
+        name: &str,
+        tuple: &[u32],
+    ) -> Result<bool, UnknownRelation> {
         let rel = self
             .signature()
             .lookup(name)
-            .unwrap_or_else(|| panic!("unknown relation {name:?}"));
-        self.insert_tuple(rel, tuple)
+            .ok_or_else(|| UnknownRelation {
+                name: name.to_string(),
+            })?;
+        Ok(self.insert_tuple(rel, tuple))
     }
 
     /// Whether `rel` gained a tuple since the last
@@ -176,6 +180,22 @@ pub struct StreamLog {
     /// The ordered operations.
     pub ops: Vec<StreamOp>,
 }
+
+/// Error from the by-name inserts ([`LiveStructure::insert_tuple_named`]):
+/// the signature has no relation of that name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownRelation {
+    /// The name that was looked up.
+    pub name: String,
+}
+
+impl fmt::Display for UnknownRelation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown relation {:?}", self.name)
+    }
+}
+
+impl std::error::Error for UnknownRelation {}
 
 /// Error from [`StreamLog::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -382,11 +402,21 @@ mod tests {
     fn dirty_relations_are_per_relation() {
         let sig = Signature::from_symbols([("E", 2), ("F", 1)]);
         let mut live = LiveStructure::new(sig, 4);
-        live.insert_tuple_named("F", &[2]);
+        live.insert_tuple_named("F", &[2]).unwrap();
         assert_eq!(live.dirty_relations(), vec![RelId(1)]);
-        live.insert_tuple_named("E", &[0, 1]);
+        live.insert_tuple_named("E", &[0, 1]).unwrap();
         assert_eq!(live.dirty_relations(), vec![RelId(0), RelId(1)]);
         live.clear_dirty();
+        assert!(live.dirty_relations().is_empty());
+    }
+
+    #[test]
+    fn unknown_relation_names_are_an_error() {
+        let mut live = LiveStructure::new(digraph_sig(), 2);
+        let err = live.insert_tuple_named("G", &[0, 1]).unwrap_err();
+        assert_eq!(err.name, "G");
+        assert_eq!(err.to_string(), "unknown relation \"G\"");
+        assert_eq!(live.generation(), 0);
         assert!(live.dirty_relations().is_empty());
     }
 

@@ -74,7 +74,7 @@ pub fn random_structure<R: Rng>(
 }
 
 /// A batch of independent random digraphs on a shared RNG stream —
-/// the batch-shaped workload for `epq_core::prepared::count_ep_batch`
+/// the batch-shaped workload for `epq_core::prepared::PreparedQuery::count_batch`
 /// (one query prepared once, counted across the whole vector).
 pub fn random_digraph_batch<R: Rng>(rng: &mut R, count: usize, n: usize, p: f64) -> Vec<Structure> {
     (0..count).map(|_| random_digraph(rng, n, p)).collect()

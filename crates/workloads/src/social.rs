@@ -7,7 +7,7 @@
 //! phrased as UCQs whose answer *counts* are the business metric
 //! ("how many X are there?").
 //!
-//! Used by the `social_network` example and the engine benchmarks.
+//! Used by the `social_network` example.
 
 use epq_structures::{Signature, Structure};
 use rand::Rng;
@@ -93,7 +93,7 @@ pub struct AnalyticsQuery {
     pub meaning: &'static str,
 }
 
-/// The catalog of analytics queries used by the example and benches.
+/// The catalog of analytics queries used by the example.
 /// All are existential positive; several are genuine unions.
 pub fn analytics_catalog() -> Vec<AnalyticsQuery> {
     vec![

@@ -11,9 +11,7 @@ use epq_core::equivalence::{counting_equivalent, semi_counting_equivalent};
 use epq_core::iex::{check_disjunct_limit, star};
 use epq_core::plus::plus_decomposition;
 use epq_core::prepared::PreparedQuery;
-use epq_counting::engines::{
-    BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
-};
+use epq_counting::engines::{all_engines, PpCountingEngine};
 use epq_logic::dnf;
 use epq_logic::parser::parse_query;
 use epq_logic::query::{check_against_signature, infer_signature};
@@ -38,7 +36,7 @@ USAGE:
 
 QUERY SYNTAX:    (x, y) := E(x,y) | (exists u . E(x,u) & E(u,y))
 STRUCTURE SYNTAX: structure { universe 4  E = { (0,1), (1,2) } }
-ENGINES:         fpt (default) | brute-force | relalg | hom-dp
+ENGINES:         fpt (default) | brute-force | relalg
 THREADS:         --threads N caps the worker threads of whichever engine runs
                  (default: all hardware threads); counts never depend on it
 BATCH:           --batch <FILE> reads one or more structure blocks; the query
@@ -267,13 +265,11 @@ fn threads_from(args: &[String]) -> Result<usize, String> {
 }
 
 fn engine_from(args: &[String]) -> Result<Box<dyn PpCountingEngine>, String> {
-    match flag_value(args, "--engine").as_deref() {
-        None | Some("fpt") => Ok(Box::new(FptEngine)),
-        Some("brute-force") | Some("brute") => Ok(Box::new(BruteForceEngine)),
-        Some("relalg") => Ok(Box::new(RelalgEngine)),
-        Some("hom-dp") => Ok(Box::new(HomDpEngine)),
-        Some(other) => Err(format!("unknown engine {other:?}")),
-    }
+    let name = flag_value(args, "--engine").unwrap_or_else(|| "fpt".to_string());
+    all_engines()
+        .into_iter()
+        .find(|e| e.name() == name)
+        .ok_or_else(|| format!("unknown engine {name:?}"))
 }
 
 /// Parses a query, inferring the signature (or validating against the
@@ -339,11 +335,10 @@ mod tests {
         assert_eq!(out.trim(), "24");
     }
 
-    const ENGINES: [&str; 4] = ["fpt", "brute-force", "relalg", "hom-dp"];
-
     #[test]
     fn count_with_each_engine() {
-        for engine in ENGINES {
+        for engine in all_engines() {
+            let engine = engine.name();
             let out = run_ok(&[
                 "count",
                 "--query",
@@ -613,7 +608,8 @@ insert E 3 3
         ];
         for [flag, value] in inputs {
             let expected = run_ok(&["count", "--query", query, flag, value, "--threads", "1"]);
-            for engine in ENGINES {
+            for engine in all_engines() {
+                let engine = engine.name();
                 for threads in ["1", "2", "4"] {
                     let out = run_ok(&[
                         "count",

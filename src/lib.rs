@@ -14,7 +14,7 @@
 //! | [`structures`] | finite relational structures, homomorphisms, products, cores |
 //! | [`logic`] | ep/pp formulas, Chandra–Merlin view, DNF, contract graphs, parser |
 //! | [`relalg`] | select–project–join–union baseline engine |
-//! | [`counting`] | brute-force / #Hom-DP / FPT counting engines, clique encodings |
+//! | [`counting`] | brute-force / relational-algebra / FPT counting engines, clique encodings |
 //! | [`core`] | counting equivalence, φ*/φ⁺, the trichotomy classifier, oracle reductions |
 //! | [`workloads`] | query families, data generators, the social-network scenario |
 //!
@@ -26,10 +26,11 @@
 //! // Parse a UCQ (Example 4.1 of the paper) and a structure, count.
 //! let b = epq::structures::parse::parse_structure(
 //!     "structure { universe 4  E = { (0,1), (1,2), (2,3), (3,3) } }",
-//! ).unwrap();
-//! let n = epq::core::count::count_ep_text(
-//!     "(w,x,y,z) := E(x,y) & (E(w,x) | (E(y,z) & E(z,z)))", &b);
+//! )?;
+//! let query = parse_query("(w,x,y,z) := E(x,y) & (E(w,x) | (E(y,z) & E(z,z)))")?;
+//! let n = PreparedQuery::prepare(&query, b.signature())?.count(&b);
 //! assert_eq!(n.to_u64(), Some(24));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod cli;
@@ -48,15 +49,13 @@ pub use epq_workloads as workloads;
 pub mod prelude {
     pub use epq_bigint::{Integer, Natural, Rational};
     pub use epq_core::classify::{classify_query, classify_widths, Regime};
-    pub use epq_core::count::{count_ep, count_ep_text};
+    pub use epq_core::count::count_ep;
     pub use epq_core::equivalence::{counting_equivalent, semi_counting_equivalent};
     pub use epq_core::iex::star;
     pub use epq_core::incremental::{LiveCount, LiveCountStats};
     pub use epq_core::plus::plus_decomposition;
-    pub use epq_core::prepared::{classify_query_cached, count_ep_batch, PreparedQuery};
-    pub use epq_counting::engines::{
-        BruteForceEngine, FptEngine, HomDpEngine, PpCountingEngine, RelalgEngine,
-    };
+    pub use epq_core::prepared::{classify_query_cached, PreparedQuery};
+    pub use epq_counting::engines::{BruteForceEngine, FptEngine, PpCountingEngine, RelalgEngine};
     pub use epq_logic::parser::parse_query;
     pub use epq_logic::query::infer_signature;
     pub use epq_logic::{Formula, PpFormula, Query, Var};

@@ -5,8 +5,9 @@ use std::process::Command;
 
 #[test]
 fn engine_names_that_encoded_a_thread_count_are_rejected() {
-    // Thread count is `--threads`, not part of the engine name.
-    for engine in ["fpt-par", "brute-par", "relalg-par"] {
+    // Thread count is `--threads`, not part of the engine name. `hom-dp`
+    // is rejected the same way: its #Hom DP runs inside `fpt`.
+    for engine in ["fpt-par", "brute-par", "relalg-par", "hom-dp"] {
         let output = Command::new(env!("CARGO_BIN_EXE_epq"))
             .args(["count", "--query", "E(x,y)", "--engine", engine])
             .args(["--data-inline", "structure { universe 2 E = { (0,1) } }"])
@@ -45,4 +46,20 @@ fn too_many_disjuncts_is_an_error_not_a_panic() {
             assert!(elapsed.as_secs_f64() < 1.0, "{sub} took {elapsed:?}");
         }
     }
+}
+
+#[test]
+fn deeply_nested_queries_are_an_error_not_a_stack_overflow() {
+    let query = format!("{}E(x,y){}", "(".repeat(20_000), ")".repeat(20_000));
+    let start = std::time::Instant::now();
+    let output = Command::new(env!("CARGO_BIN_EXE_epq"))
+        .args(["classify", "--query", &query])
+        .output()
+        .expect("epq runs");
+    let elapsed = start.elapsed();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("epq: "), "{stderr}");
+    assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
 }
