@@ -1,17 +1,16 @@
-//! Regenerates every table and series recorded in `EXPERIMENTS.md`
-//! (ids `T1`, `E1`–`E6`, `F1`–`F4`, `A1`–`A3`), plus the CI
-//! bench-smoke gates: `P1` (every engine at 1, 2 and 4 worker threads
-//! against itself at 1), `P2` (prepared-query amortization and batched
-//! counting), and `P4` (incremental streaming maintenance vs
-//! prepare-once/recount-each-checkpoint). The gates and `F1` exit
-//! nonzero on any count disagreement; `P4` also exits nonzero when
-//! incremental maintenance is slower than recounting. Nothing is
-//! written to disk: every row goes to stdout.
+//! Regenerates every table and series of the experiment catalog in
+//! `docs/BENCHMARK.md` (ids `T1`, `E1`–`E6`, `F1`–`F4`, `A1`–`A3`),
+//! plus the CI bench-smoke gate `P4` (incremental streaming
+//! maintenance vs prepare-once/recount-each-checkpoint). `F1` and `P4`
+//! exit nonzero on any count disagreement; `P4` also exits nonzero
+//! when incremental maintenance is slower than recounting. An id not
+//! in the catalog exits 1 before anything runs. Nothing is written to
+//! disk: every row goes to stdout.
 //!
 //! ```sh
 //! cargo run -p epq-bench --release --bin experiments                # all
 //! cargo run -p epq-bench --release --bin experiments -- T1 F2      # some
-//! cargo run -p epq-bench --release --bin experiments -- P1 P2 P4   # CI gates
+//! cargo run -p epq-bench --release --bin experiments -- P4         # CI gate
 //! ```
 
 use epq_bench::{
@@ -34,458 +33,41 @@ use epq_workloads::{data, queries};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Every experiment id, in run order, with the function that prints it.
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("T1", t1_trichotomy_table),
+    ("E1", e1_example_4_1),
+    ("E2", e2_cancellation),
+    ("E3", e3_oracle_recovery),
+    ("E4", e4_theta_plus),
+    ("E5", e5_counting_equivalence),
+    ("E6", e6_general_recovery),
+    ("F1", f1_engine_scaling),
+    ("F2", f2_sharp_clique_hardness),
+    ("F3", f3_case_two_scaling),
+    ("F4", f4_random_ucq_cancellation),
+    ("P4", p4_streaming),
+    ("A1", a1_distinguisher_ablation),
+    ("A2", a2_merging_ablation),
+    ("A3", a3_case_two_reduction),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id));
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !EXPERIMENTS.iter().any(|(id, _)| a.eq_ignore_ascii_case(id)))
+    {
+        eprintln!("experiments: unknown experiment id \"{unknown}\"");
+        std::process::exit(1);
+    }
 
     println!("epq experiments — Chen & Mengel (PODS 2016) reproduction\n");
-    if want("T1") {
-        t1_trichotomy_table();
-    }
-    if want("E1") {
-        e1_example_4_1();
-    }
-    if want("E2") {
-        e2_cancellation();
-    }
-    if want("E3") {
-        e3_oracle_recovery();
-    }
-    if want("E4") {
-        e4_theta_plus();
-    }
-    if want("E5") {
-        e5_counting_equivalence();
-    }
-    if want("E6") {
-        e6_general_recovery();
-    }
-    if want("F1") {
-        f1_engine_scaling();
-    }
-    if want("F2") {
-        f2_sharp_clique_hardness();
-    }
-    if want("F3") {
-        f3_case_two_scaling();
-    }
-    if want("F4") {
-        f4_random_ucq_cancellation();
-    }
-    if want("P1") {
-        p1_engine_threads();
-    }
-    if want("P2") {
-        p2_prepared_queries();
-    }
-    if want("P4") {
-        p4_streaming();
-    }
-    if want("A1") {
-        a1_distinguisher_ablation();
-    }
-    if want("A2") {
-        a2_merging_ablation();
-    }
-    if want("A3") {
-        a3_case_two_reduction();
-    }
-}
-
-/// One measured configuration of the P1 thread-scaling comparison.
-struct P1Row {
-    family: &'static str,
-    engine: &'static str,
-    n: usize,
-    threads: usize,
-    median_us: f64,
-    count: String,
-    agrees: bool,
-}
-
-/// P1 — every engine at 1, 2 and 4 worker threads against itself at
-/// 1 thread: per-thread-count medians, the speedup at the widest
-/// setting, and a hard agreement gate (every count must equal the
-/// first engine's 1-thread count for the same input).
-///
-/// **Exits nonzero if any count disagrees** — this is the cheap
-/// perf+correctness gate that runs on every PR.
-fn p1_engine_threads() {
-    println!("== P1: engines at 1/2/4 threads — speedup and agreement vs 1 thread ==");
-    let host = epq_pool::available_threads();
-    println!("  host threads: {host}");
-    let thread_counts = [1usize, 2, 4];
-    let mut rows: Vec<P1Row> = Vec::new();
-
-    let widths = [12, 12, 6, 8, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "family".into(),
-                "engine".into(),
-                "n".into(),
-                "threads".into(),
-                "median us".into(),
-                "count".into(),
-                "agree".into()
-            ],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
-
-    // qpath3 is the largest `engines` bench family (fpt's boundary
-    // sweep dominates); path2 is quantifier-free, where brute force's
-    // sharded assignment sweep carries the work.
-    let families = [
-        (
-            "qpath3",
-            queries::quantified_path_query(3),
-            [48, 96],
-            0.08,
-            0,
-        ),
-        ("path2", queries::path_query(2), [16, 24], 0.1, 7),
-    ];
-    for (family, query, sizes, density, seed_offset) in families {
-        let pp = pp_of(&query);
-        for n in sizes {
-            let b = data::random_digraph(
-                &mut StdRng::seed_from_u64(seed_offset + n as u64),
-                n,
-                density,
-            );
-            let mut reference: Option<String> = None;
-            for engine in all_engines() {
-                let mut one_thread_us = 0.0;
-                for &threads in &thread_counts {
-                    let (count, us) = time_engine(engine.as_ref(), &pp, &b, threads, 3);
-                    if threads == 1 {
-                        one_thread_us = us;
-                    }
-                    let expected = reference.get_or_insert_with(|| count.clone());
-                    let r = P1Row {
-                        family,
-                        engine: engine.name(),
-                        n,
-                        threads,
-                        median_us: us,
-                        agrees: count == *expected,
-                        count,
-                    };
-                    println!(
-                        "{}",
-                        row(
-                            &[
-                                r.family.into(),
-                                r.engine.into(),
-                                r.n.to_string(),
-                                r.threads.to_string(),
-                                format!("{:.0}", r.median_us),
-                                r.count.clone(),
-                                r.agrees.to_string()
-                            ],
-                            &widths
-                        )
-                    );
-                    rows.push(r);
-                }
-                println!(
-                    "  -> {} speedup at {} threads: {:.2}x{}",
-                    engine.name(),
-                    thread_counts.last().unwrap(),
-                    one_thread_us / rows.last().unwrap().median_us,
-                    if host < 2 {
-                        " (single-core host: expect ~1x)"
-                    } else {
-                        ""
-                    }
-                );
-            }
+    for (id, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id)) {
+            run();
         }
     }
-
-    let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    if disagreements > 0 {
-        eprintln!("P1 FAILED: {disagreements} count(s) disagree across engines or threads");
-        std::process::exit(1);
-    }
-    println!("  all engines agree at every thread count ✔\n");
-}
-
-/// One measured configuration of the P2 prepared-query comparison.
-struct P2Row {
-    series: &'static str,
-    variant: String,
-    batch: usize,
-    threads: usize,
-    median_us: f64,
-    agrees: bool,
-}
-
-/// P2 — the prepared-query architecture: prepare-once vs
-/// prepare-per-call on a 32-structure batch, batch-vs-loop fan-out at
-/// 1/2/4 threads, cold prepare+count on random UCQs checked against
-/// brute force, and the classifier cache. **Exits nonzero if any
-/// amortized or batched count disagrees** with the
-/// prepare-per-call sequential reference — CI's second bench-smoke
-/// gate.
-fn p2_prepared_queries() {
-    use epq_core::prepared::{classifier_cache_clear, classifier_cache_stats, PreparedQuery};
-
-    println!("== P2: prepared queries — amortized classification and batched counting ==");
-    let host = epq_pool::available_threads();
-    println!("  host threads: {host}");
-    let query =
-        parse_query("(w,x,y,z) := (E(x,y) & E(y,z)) | (E(z,w) & E(w,x)) | (E(w,x) & E(x,y))")
-            .unwrap();
-    let sig = infer_signature([query.formula()]).unwrap();
-    let batch = data::random_digraph_batch(&mut StdRng::seed_from_u64(2024), 32, 10, 0.18);
-    let mut rows: Vec<P2Row> = Vec::new();
-
-    let widths = [16, 18, 8, 8, 12, 8];
-    println!(
-        "{}",
-        row(
-            &[
-                "series".into(),
-                "variant".into(),
-                "batch".into(),
-                "threads".into(),
-                "median us".into(),
-                "agree".into()
-            ],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
-    let print_row = |r: &P2Row| {
-        println!(
-            "{}",
-            row(
-                &[
-                    r.series.into(),
-                    r.variant.clone(),
-                    r.batch.to_string(),
-                    r.threads.to_string(),
-                    format!("{:.0}", r.median_us),
-                    r.agrees.to_string()
-                ],
-                &widths
-            )
-        );
-    };
-
-    // The reference: the whole per-query phase redone per structure.
-    let reference: Vec<String> = batch
-        .iter()
-        .map(|b| {
-            PreparedQuery::prepare_uncached(&query, &sig)
-                .unwrap()
-                .count(b)
-                .to_string()
-        })
-        .collect();
-    let per_call_us = time_us(3, || {
-        for b in &batch {
-            let _ = PreparedQuery::prepare_uncached(&query, &sig)
-                .unwrap()
-                .count(b);
-        }
-    });
-    rows.push(P2Row {
-        series: "prepare",
-        variant: "per-call".into(),
-        batch: batch.len(),
-        threads: 1,
-        median_us: per_call_us,
-        agrees: true,
-    });
-    print_row(rows.last().unwrap());
-
-    // Prepare once, count in a sequential loop.
-    let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
-    let once: Vec<String> = batch
-        .iter()
-        .map(|b| prepared.count(b).to_string())
-        .collect();
-    let once_us = time_us(3, || {
-        let p = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
-        for b in &batch {
-            let _ = p.count(b);
-        }
-    });
-    rows.push(P2Row {
-        series: "prepare",
-        variant: "once+loop".into(),
-        batch: batch.len(),
-        threads: 1,
-        median_us: once_us,
-        agrees: once == reference,
-    });
-    print_row(rows.last().unwrap());
-    println!(
-        "  -> prepare-once speedup over prepare-per-call: {:.2}x (query-phase amortization; \
-thread-count independent)",
-        per_call_us / once_us
-    );
-
-    // Batched fan-out at 1/2/4 threads against the sequential loop.
-    let loop_us = time_us(3, || {
-        for b in &batch {
-            let _ = prepared.count(b);
-        }
-    });
-    rows.push(P2Row {
-        series: "batch",
-        variant: "loop".into(),
-        batch: batch.len(),
-        threads: 1,
-        median_us: loop_us,
-        agrees: true,
-    });
-    print_row(rows.last().unwrap());
-    let mut widest_us = loop_us;
-    for threads in [1usize, 2, 4] {
-        let counts: Vec<String> = prepared
-            .count_batch(&batch, threads)
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        let us = time_us(3, || {
-            let _ = prepared.count_batch(&batch, threads);
-        });
-        widest_us = us;
-        rows.push(P2Row {
-            series: "batch",
-            variant: format!("pool/{threads}t"),
-            batch: batch.len(),
-            threads,
-            median_us: us,
-            agrees: counts == reference,
-        });
-        print_row(rows.last().unwrap());
-    }
-    println!(
-        "  -> batch speedup at 4 threads: {:.2}x{}",
-        loop_us / widest_us,
-        if host < 2 {
-            " (single-core host: expect ~1x)"
-        } else {
-            ""
-        }
-    );
-
-    // Cold prepare end to end on random UCQs: the whole per-query phase
-    // (DNF, φ* merge, φ⁺ filter) runs for every query, and every count
-    // is checked against brute force, so a wrong merge fails the gate.
-    let (cold_ucq_us, cold_ucq_mismatches) = p2_cold_ucq();
-    rows.push(P2Row {
-        series: "prepare",
-        variant: "cold-ucq".into(),
-        batch: P2_COLD_UCQS,
-        threads: 1,
-        median_us: cold_ucq_us,
-        agrees: cold_ucq_mismatches == 0,
-    });
-    print_row(rows.last().unwrap());
-    println!(
-        "  -> cold prepare+count per random UCQ (median over {P2_COLD_UCQS}); \
-{cold_ucq_mismatches} disagree with brute force"
-    );
-
-    // Classifier cache: second classification of the same canonical
-    // query must be a hit.
-    classifier_cache_clear();
-    let before = classifier_cache_stats();
-    let cold_us = time_us(1, || {
-        let _ = PreparedQuery::prepare(&query, &sig)
-            .unwrap()
-            .analysis()
-            .max_core_treewidth;
-    });
-    let warm_us = time_us(3, || {
-        let _ = PreparedQuery::prepare(&query, &sig)
-            .unwrap()
-            .analysis()
-            .max_core_treewidth;
-    });
-    let after = classifier_cache_stats();
-    let cache_ok = after.hits > before.hits;
-    rows.push(P2Row {
-        series: "classify",
-        variant: "cold".into(),
-        batch: 1,
-        threads: 1,
-        median_us: cold_us,
-        agrees: true,
-    });
-    print_row(rows.last().unwrap());
-    rows.push(P2Row {
-        series: "classify",
-        variant: "cached".into(),
-        batch: 1,
-        threads: 1,
-        median_us: warm_us,
-        agrees: cache_ok,
-    });
-    print_row(rows.last().unwrap());
-    println!(
-        "  -> cached classification speedup: {:.2}x (cache hits {} -> {})",
-        cold_us / warm_us,
-        before.hits,
-        after.hits
-    );
-
-    let disagreements = rows.iter().filter(|r| !r.agrees).count();
-    if disagreements > 0 {
-        eprintln!(
-            "P2 FAILED: {disagreements} prepared/batched count(s) disagree with the reference"
-        );
-        std::process::exit(1);
-    }
-    println!("  all prepared and batched counts agree with the per-call reference \u{2714}\n");
-}
-
-/// Number of random UCQs in P2's `prepare/cold-ucq` series.
-const P2_COLD_UCQS: usize = 64;
-
-/// P2's `prepare/cold-ucq` series: seeded random UCQs shaped like the
-/// epqbench ucq-churn workload (3–5 disjuncts of 2 atoms over `{E, F}`,
-/// 4 variables, quantify 0.35), each on its own random 10–12-element
-/// structure. Each query is prepared without the cache and counted.
-/// Returns the median µs per query and how many counts disagree with
-/// [`brute::count_ep_brute`].
-fn p2_cold_ucq() -> (f64, usize) {
-    use epq_core::prepared::PreparedQuery;
-    use rand::Rng;
-    let sig = Signature::from_symbols([("E", 2), ("F", 2)]);
-    let mut rng = StdRng::seed_from_u64(2026);
-    let mut samples = Vec::with_capacity(P2_COLD_UCQS);
-    let mut mismatches = 0;
-    while samples.len() < P2_COLD_UCQS {
-        let disjuncts = rng.gen_range(3..=5usize);
-        let query = queries::random_ucq_over(&mut rng, &sig, disjuncts, 4, 2, 0.35);
-        if query.is_sentence() {
-            continue;
-        }
-        let n = rng.gen_range(10..=12usize);
-        let b = data::random_structure(&mut rng, &sig, n, 0.15, n * n);
-        let mut count = None;
-        samples.push(time_us(3, || {
-            count = Some(
-                PreparedQuery::prepare_uncached(&query, &sig)
-                    .unwrap()
-                    .count(&b),
-            );
-        }));
-        if count != Some(brute::count_ep_brute(&query, &b)) {
-            mismatches += 1;
-        }
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (samples[samples.len() / 2], mismatches)
 }
 
 /// One measured configuration of the P4 streaming comparison.
@@ -1095,7 +677,7 @@ fn f1_engine_scaling() {
             } else {
                 3
             };
-            let (count, us) = time_engine(engine.as_ref(), &pp, &b, 1, runs);
+            let (count, us) = time_engine(engine.as_ref(), &pp, &b, runs);
             if count != *reference.get_or_insert_with(|| count.clone()) {
                 eprintln!("  n={n}: {} counts {count}", engine.name());
                 disagreements += 1;
@@ -1128,8 +710,8 @@ fn f1_engine_scaling() {
     println!("{}", rule(&widths));
     for k in [2usize, 3, 4, 5, 6] {
         let pp = pp_of(&queries::path_query(k));
-        let (count, brute_us) = time_engine(&BruteForceEngine, &pp, &b, 1, 1);
-        let (fpt_count, fpt_us) = time_engine(&FptEngine, &pp, &b, 1, 3);
+        let (count, brute_us) = time_engine(&BruteForceEngine, &pp, &b, 1);
+        let (fpt_count, fpt_us) = time_engine(&FptEngine, &pp, &b, 3);
         if fpt_count != count {
             eprintln!("  k={k}: fpt counts {fpt_count}, brute-force {count}");
             disagreements += 1;
@@ -1222,7 +804,7 @@ fn f3_case_two_scaling() {
                 &mut StdRng::seed_from_u64(100 + n as u64),
             );
             let b = epq_counting::clique::graph_to_structure(&g);
-            let (count, us) = time_engine(&FptEngine, &pp, &b, 1, 1);
+            let (count, us) = time_engine(&FptEngine, &pp, &b, 1);
             println!(
                 "{}",
                 row(

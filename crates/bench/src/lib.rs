@@ -1,13 +1,15 @@
 //! # epq-bench — experiment runner
 //!
-//! Crate S9 of the `epq` workspace (see `DESIGN.md`).
+//! A crate of the `epq` workspace (see `docs/ARCHITECTURE.md`).
 //!
 //! The **`experiments` binary** (`cargo run -p epq-bench --release --bin
 //! experiments -- [ids…]`) prints every paper table and series (T1,
-//! E1–E6, F1–F4, A1–A3) and runs the CI agreement gates P1, P2 and P4,
-//! each of which exits nonzero when a count disagrees. End-to-end
-//! latency and throughput are measured by the separate `epqbench`
-//! workspace, not here.
+//! E1–E6, F1–F4, A1–A3) and runs the CI streaming gate P4, which exits
+//! nonzero when a checkpoint count disagrees. End-to-end latency and
+//! throughput are measured by the separate `epqbench` workspace, not
+//! here. Engine and prepared-query agreement across thread counts is
+//! checked by `cargo test` (`tests/engine_agreement.rs`,
+//! `crates/core/tests/proptests.rs`).
 //!
 //! This library holds the workload builders and timing helpers the
 //! binary shares.
@@ -39,18 +41,17 @@ pub fn time_us(runs: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times one engine on one (query, structure) pair at up to `threads`
-/// workers, returning (count, median µs).
+/// Times one engine on one (query, structure) pair on one thread,
+/// returning (count, median µs).
 pub fn time_engine(
     engine: &dyn PpCountingEngine,
     pp: &PpFormula,
     b: &Structure,
-    threads: usize,
     runs: usize,
 ) -> (String, f64) {
-    let count = engine.count_threaded(pp, b, threads);
+    let count = engine.count(pp, b);
     let us = time_us(runs, || {
-        let _ = engine.count_threaded(pp, b, threads);
+        let _ = engine.count(pp, b);
     });
     (count.to_string(), us)
 }
@@ -167,7 +168,7 @@ mod tests {
         let q = queries::path_query(2);
         let pp = pp_of(&q);
         let b = data::path_structure(5);
-        let (count, _) = time_engine(&epq_counting::engines::FptEngine, &pp, &b, 2, 2);
+        let (count, _) = time_engine(&epq_counting::engines::FptEngine, &pp, &b, 2);
         assert_eq!(count, "3");
     }
 

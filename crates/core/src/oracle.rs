@@ -31,7 +31,7 @@
 //!    structures instead; with *disconnected* sentence disjuncts that
 //!    union can accidentally satisfy a sentence disjunct no single member
 //!    entails, so we use the per-target structure — same spirit, verified
-//!    correct. The deviation is documented in DESIGN.md.)
+//!    correct.)
 
 use crate::equivalence::semi_counting_equivalent;
 use crate::iex::SignedPp;

@@ -3,7 +3,9 @@
 //! bit-identical to sequential counting at every thread count, and
 //! incremental streaming maintenance agrees with from-scratch recounts
 //! after every random insert sequence, and the fingerprint-bucketed `φ*`
-//! merge is exactly the merge that searches every pair.
+//! merge is exactly the merge that searches every pair. Fixed-seed
+//! tests pin prepared-query counts to brute force on ucq-churn-shaped
+//! UCQs and on queries whose `φ*` terms collide in their fingerprints.
 
 use epq_core::count::{count_ep, count_ep_with};
 use epq_core::equivalence::{counting_equivalent, renaming_fingerprint};
@@ -14,8 +16,10 @@ use epq_core::plus::plus_decomposition;
 use epq_core::prepared::PreparedQuery;
 use epq_counting::brute;
 use epq_counting::engines::{FptEngine, RelalgEngine};
+use epq_logic::parser::parse_query;
+use epq_logic::query::infer_signature;
 use epq_logic::{dnf, Atom, PpFormula, Var};
-use epq_structures::Signature;
+use epq_structures::{ops, Signature};
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -342,6 +346,118 @@ proptest! {
                 renaming_fingerprint(&moved),
                 renaming_fingerprint(&term.formula),
                 "{} vs {}", moved, term.formula
+            );
+        }
+    }
+}
+
+/// Prepare-once, uncached, on 64 seeded random UCQs in ucq-churn's
+/// shape (3–5 disjuncts of 2 atoms over `{E, F}`, 4 variables, quantify
+/// 0.35), each on its own 10–12-element structure: the whole per-query
+/// phase (DNF, `φ*` merge, `φ⁺` filter) runs for every query, and every
+/// count must equal brute force, so a wrong merge fails here.
+#[test]
+fn cold_prepared_ucqs_match_brute_force() {
+    use rand::Rng;
+    let sig = Signature::from_symbols([("E", 2), ("F", 2)]);
+    let mut rng = StdRng::seed_from_u64(2026);
+    let mut checked = 0;
+    while checked < 64 {
+        let disjuncts = rng.gen_range(3..=5usize);
+        let query = queries::random_ucq_over(&mut rng, &sig, disjuncts, 4, 2, 0.35);
+        if query.is_sentence() {
+            continue;
+        }
+        let n = rng.gen_range(10..=12usize);
+        let b = data::random_structure(&mut rng, &sig, n, 0.15, n * n);
+        assert_eq!(
+            PreparedQuery::prepare_uncached(&query, &sig)
+                .unwrap()
+                .count(&b),
+            brute::count_ep_brute(&query, &b),
+            "query {checked}: {query}"
+        );
+        checked += 1;
+    }
+}
+
+/// The Example 4.2 UCQ on a fixed 32-structure batch: preparing once
+/// and counting in a loop, and `count_batch` at 1, 2 and 4 threads,
+/// must reproduce the prepare-per-call counts.
+#[test]
+fn prepared_once_and_batched_counts_match_per_call_counts() {
+    let query =
+        parse_query("(w,x,y,z) := (E(x,y) & E(y,z)) | (E(z,w) & E(w,x)) | (E(w,x) & E(x,y))")
+            .unwrap();
+    let sig = infer_signature([query.formula()]).unwrap();
+    let batch = data::random_digraph_batch(&mut StdRng::seed_from_u64(2024), 32, 10, 0.18);
+    let per_call: Vec<_> = batch
+        .iter()
+        .map(|b| {
+            PreparedQuery::prepare_uncached(&query, &sig)
+                .unwrap()
+                .count(b)
+        })
+        .collect();
+    let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+    let once: Vec<_> = batch.iter().map(|b| prepared.count(b)).collect();
+    assert_eq!(once, per_call, "prepare once, count in a loop");
+    for threads in [1usize, 2, 4] {
+        assert_eq!(
+            prepared.count_batch(&batch, threads),
+            per_call,
+            "count_batch at {threads} threads"
+        );
+    }
+}
+
+/// The all-liberal disjoint union of directed cycles of the given
+/// lengths, as a conjunction over `v0, v1, …`.
+fn cycles(lengths: &[usize]) -> String {
+    let mut atoms = Vec::new();
+    let mut first = 0;
+    for &len in lengths {
+        for i in 0..len {
+            atoms.push(format!("E(v{},v{})", first + i, first + (i + 1) % len));
+        }
+        first += len;
+    }
+    atoms.join(" & ")
+}
+
+/// C6 vs C3+C3, C5 vs C2+C3 and C4 vs C2+C2 are all-liberal, hence
+/// their own cores, and they share a `RenamingFingerprint` without
+/// being renaming-equivalent. The `φ*` merge must keep the two
+/// disjuncts and their conjunction apart, and the counts must equal
+/// brute force on the directed 2-cycle, the directed 3-cycle and their
+/// disjoint union. (Merging C6 with C3+C3 would count 3, not 9, on the
+/// directed 3-cycle.)
+#[test]
+fn fingerprint_colliding_cycle_unions_stay_apart() {
+    let c2 = data::cycle_structure(2);
+    let c3 = data::cycle_structure(3);
+    let structures = [ops::disjoint_union(&c2, &c3), c2, c3.clone()];
+    for (a, b) in [(&[6][..], &[3, 3][..]), (&[5], &[2, 3]), (&[4], &[2, 2])] {
+        let vars: Vec<String> = (0..a.iter().sum()).map(|i| format!("v{i}")).collect();
+        let text = format!("({}) := ({}) | ({})", vars.join(","), cycles(a), cycles(b));
+        let query = parse_query(&text).unwrap();
+        let sig = data::digraph_signature();
+        let ds = dnf::disjuncts(&query, &sig).unwrap();
+        assert_eq!(
+            renaming_fingerprint(&ds[0].core()),
+            renaming_fingerprint(&ds[1].core()),
+            "{text}"
+        );
+        assert_eq!(star(&ds).len(), 3, "{text}");
+        let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+        if a == [6] {
+            assert_eq!(prepared.count(&c3).to_u64(), Some(9), "{text}");
+        }
+        for s in &structures {
+            assert_eq!(
+                prepared.count(s),
+                brute::count_ep_brute(&query, s),
+                "{text} on {s}"
             );
         }
     }

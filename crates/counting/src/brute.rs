@@ -198,16 +198,6 @@ pub fn count_pp_brute_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natu
     acc
 }
 
-/// Convenience: count an ep-formula given as text against `b`.
-///
-/// Panics on parse/validation errors — intended for tests and examples.
-pub fn count_text(query_text: &str, b: &Structure) -> Natural {
-    let q = epq_logic::parser::parse_query(query_text).expect("query parses");
-    epq_logic::query::check_against_signature(q.formula(), b.signature())
-        .expect("query matches structure signature");
-    count_ep_brute(&q, b)
-}
-
 /// `|B|^k` as a [`Natural`] — the maximum possible count over `k` liberal
 /// variables, used by the sentence-disjunct logic of Theorem 3.1's proof.
 pub fn universe_power(b: &Structure, k: usize) -> Natural {
@@ -234,6 +224,11 @@ mod tests {
         let q = parse_query(text).unwrap();
         let sig = infer_signature([q.formula()]).unwrap();
         PpFormula::from_query(&q, &sig).unwrap()
+    }
+
+    /// Parses `text` and counts it on `b` by brute force.
+    fn count_text(text: &str, b: &Structure) -> Natural {
+        count_ep_brute(&parse_query(text).unwrap(), b)
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # epq-counting — answer-counting engines
 //!
-//! Substrate crate S6 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see `docs/ARCHITECTURE.md`).
 //!
 //! The trichotomy theorem is about the complexity of computing `|φ(B)|`.
 //! This crate implements the algorithms on both sides of the tractability
@@ -32,14 +32,11 @@
 //!   constraint's `allowed` relation (the introduce filter's membership
 //!   probes run on machine words, not hashed `Vec` keys);
 //! * [`clique`] — the clique ⇄ query encodings anchoring the hardness side
-//!   (cases (2) and (3) of the trichotomy);
-//! * [`decision`] — answer existence / model checking (the 1-or-0
-//!   counting instances the paper generalizes).
+//!   (cases (2) and (3) of the trichotomy).
 
 pub mod brute;
 pub mod clique;
 pub mod csp;
-pub mod decision;
 pub mod engines;
 pub mod fpt;
 pub mod table;

@@ -19,8 +19,6 @@
 //! Membership is the only operation the DP needs, so no iteration
 //! order is ever observable — determinism is unaffected.
 
-use std::collections::HashSet;
-
 /// An immutable set of fixed-arity `u32` tuples, packed for fast
 /// membership tests. See the [module docs](self).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -169,26 +167,10 @@ impl TupleSet {
     }
 }
 
-impl FromIterator<Vec<u32>> for TupleSet {
-    /// Collects tuples, inferring the arity from the first one (an
-    /// empty iterator yields an empty arity-0 set — construct with
-    /// [`TupleSet::from_tuples`] when the arity matters).
-    fn from_iter<I: IntoIterator<Item = Vec<u32>>>(iter: I) -> Self {
-        let mut iter = iter.into_iter().peekable();
-        let arity = iter.peek().map_or(0, Vec::len);
-        TupleSet::from_tuples(arity, iter)
-    }
-}
-
-impl From<HashSet<Vec<u32>>> for TupleSet {
-    fn from(set: HashSet<Vec<u32>>) -> Self {
-        set.into_iter().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn set(tuples: &[&[u32]]) -> TupleSet {
         TupleSet::from_tuples(
@@ -270,7 +252,7 @@ mod tests {
         let mut h: HashSet<Vec<u32>> = HashSet::new();
         h.insert(vec![1, 2]);
         h.insert(vec![2, 1]);
-        let s = TupleSet::from(h);
+        let s = TupleSet::from_tuples(2, h);
         assert_eq!(s.arity(), 2);
         assert!(s.contains(&[1, 2]) && s.contains(&[2, 1]));
         assert!(!s.contains(&[1, 1]));

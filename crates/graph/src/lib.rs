@@ -1,6 +1,6 @@
 //! # epq-graph — graphs, treewidth, and tree decompositions
 //!
-//! Substrate crate S2 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see `docs/ARCHITECTURE.md`).
 //!
 //! The complexity classification of Chen & Mengel is stated in terms of
 //! graph-theoretic measures of queries:

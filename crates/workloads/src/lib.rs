@@ -1,6 +1,6 @@
 //! # epq-workloads — query families and data generators
 //!
-//! Substrate crate S8 of the `epq` workspace (see `DESIGN.md`).
+//! A substrate crate of the `epq` workspace (see `docs/ARCHITECTURE.md`).
 //!
 //! The benchmark experiments and examples need reproducible workloads:
 //!

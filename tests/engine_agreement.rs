@@ -10,7 +10,9 @@
 //! * disjunct-level brute union counting.
 //!
 //! (Engine-level randomized agreement, including thread-count
-//! invariance, lives in `crates/counting/tests/proptests.rs`.)
+//! invariance, lives in `crates/counting/tests/proptests.rs`; the
+//! fixed-seed engine × thread-count check on inputs large enough to
+//! shard is `every_engine_agrees_at_every_thread_count_on_seeded_digraphs`.)
 
 use epq::prelude::*;
 use epq_counting::brute;
@@ -65,6 +67,39 @@ fn check_all_paths(query: &Query, b: &Structure) {
             counts.iter().all(|c| c == &expected),
             "prepared batch at {threads} threads\nquery: {query}\nB: {b}"
         );
+    }
+}
+
+/// Every engine at 1, 2 and 4 worker threads must reproduce the first
+/// engine's 1-thread count, on fixed seeded inputs large enough to
+/// reach each sharding site: fpt's boundary sweep, `FlatTable::sharded`
+/// above `PAR_NODE_THRESHOLD`, and relalg's sharded probe side
+/// (`qpath3` at n = 48), and brute force's sharded assignment sweep
+/// (the quantifier-free `path2` at n = 16 and 24).
+#[test]
+fn every_engine_agrees_at_every_thread_count_on_seeded_digraphs() {
+    let inputs = [
+        (queries::quantified_path_query(3), 48, 0.08, 48),
+        (queries::path_query(2), 16, 0.1, 23),
+        (queries::path_query(2), 24, 0.1, 31),
+    ];
+    for (query, n, density, seed) in inputs {
+        let sig = infer_signature([query.formula()]).unwrap();
+        let pp = PpFormula::from_query(&query, &sig).unwrap();
+        let b = data::random_digraph(&mut StdRng::seed_from_u64(seed), n, density);
+        let mut reference = None;
+        for engine in all_engines() {
+            for threads in [1usize, 2, 4] {
+                let count = engine.count_threaded(&pp, &b, threads);
+                let expected = reference.get_or_insert_with(|| count.clone());
+                assert_eq!(
+                    &count,
+                    expected,
+                    "{} at {threads} threads on {query} (n = {n})",
+                    engine.name()
+                );
+            }
+        }
     }
 }
 
