@@ -19,7 +19,7 @@ use epq_counting::engines::{FptEngine, RelalgEngine};
 use epq_logic::parser::parse_query;
 use epq_logic::query::infer_signature;
 use epq_logic::{dnf, Atom, PpFormula, Var};
-use epq_structures::{ops, Signature};
+use epq_structures::{ops, Signature, Structure};
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -432,6 +432,13 @@ fn cycles(lengths: &[usize]) -> String {
 /// brute force on the directed 2-cycle, the directed 3-cycle and their
 /// disjoint union. (Merging C6 with C3+C3 would count 3, not 9, on the
 /// directed 3-cycle.)
+///
+/// The same collision inside sentence components: `E(x,y)` conjoined
+/// with a quantified C5 over `F`, or with a quantified C2+C3 over `F`.
+/// The liberal parts are equal, so a merge that compared only them
+/// (semi-counting equivalence) would fold the two disjuncts into one
+/// term of coefficient 2 and count 2, not 1, where `F` is a directed
+/// 5-cycle.
 #[test]
 fn fingerprint_colliding_cycle_unions_stay_apart() {
     let c2 = data::cycle_structure(2);
@@ -461,4 +468,20 @@ fn fingerprint_colliding_cycle_unions_stay_apart() {
             );
         }
     }
+
+    let sig = Signature::from_symbols([("E", 2), ("F", 2)]);
+    let text = "(x,y) := (E(x,y) & (exists a0,a1,a2,a3,a4 . \
+                F(a0,a1) & F(a1,a2) & F(a2,a3) & F(a3,a4) & F(a4,a0))) \
+                | (E(x,y) & (exists b0,b1,c0,c1,c2 . \
+                F(b0,b1) & F(b1,b0) & F(c0,c1) & F(c1,c2) & F(c2,c0)))";
+    let query = parse_query(text).unwrap();
+    assert_eq!(star(&dnf::disjuncts(&query, &sig).unwrap()).len(), 3);
+    let mut b = Structure::new(sig.clone(), 5);
+    b.add_tuple_named("E", &[0, 1]);
+    for i in 0..5 {
+        b.add_tuple_named("F", &[i, (i + 1) % 5]);
+    }
+    let prepared = PreparedQuery::prepare_uncached(&query, &sig).unwrap();
+    assert_eq!(prepared.count(&b).to_u64(), Some(1));
+    assert_eq!(brute::count_ep_brute(&query, &b).to_u64(), Some(1));
 }

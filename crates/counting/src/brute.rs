@@ -164,7 +164,8 @@ pub fn for_each_assignment_in_range(
 /// contiguous shards (a few per worker, so the atomic job cursor
 /// balances uneven satisfiability checks) and the per-shard partial
 /// counts are summed in shard order — the result is bit-identical to
-/// the sequential count at every thread count.
+/// the sequential count at every thread count. At one thread (or on a
+/// space too small to split) it is [`count_pp_brute`], inline.
 pub fn count_pp_brute_par(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     let arity = pp.liberal_count();
     let domain = b.universe_size();

@@ -41,6 +41,7 @@ pub use crate::table::PAR_NODE_THRESHOLD;
 use crate::tupleset::TupleSet;
 use epq_bigint::Natural;
 use epq_graph::{treewidth, Graph, NiceNode, NiceTreeDecomposition};
+use epq_relalg::engine::scan_atom;
 use epq_structures::Structure;
 
 /// One constraint: an ordered scope of distinct variables and the set of
@@ -263,9 +264,10 @@ pub fn count_csp_brute(
 }
 
 /// Builds the atom constraints of a structure-to-structure homomorphism
-/// problem: one constraint per tuple of `a`, whose allowed set is the
-/// matching projection of the corresponding relation of `b` (repeated
-/// elements in `a`'s tuple filter `b`'s tuples).
+/// problem: one constraint per tuple of `a`, over the tuple's distinct
+/// elements, whose allowed set is the relational-algebra scan of that
+/// atom against `b` ([`scan_atom`]: repeated elements in `a`'s tuple
+/// filter `b`'s tuples).
 pub fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
     assert_eq!(
         a.signature(),
@@ -275,28 +277,11 @@ pub fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
     let mut out = Vec::new();
     for (rel, _, _) in a.signature().iter() {
         for atom in a.relation(rel).tuples() {
-            // Distinct scope in order of first occurrence.
-            let mut scope: Vec<u32> = Vec::new();
-            for &e in atom {
-                if !scope.contains(&e) {
-                    scope.push(e);
-                }
-            }
-            let positions: Vec<usize> = scope
-                .iter()
-                .map(|v| atom.iter().position(|e| e == v).unwrap())
-                .collect();
-            let mut allowed: Vec<Vec<u32>> = Vec::new();
-            'tuples: for t in b.relation(rel).tuples() {
-                for (i, &e) in atom.iter().enumerate() {
-                    let first = atom.iter().position(|x| *x == e).unwrap();
-                    if t[i] != t[first] {
-                        continue 'tuples;
-                    }
-                }
-                allowed.push(positions.iter().map(|&i| t[i]).collect());
-            }
-            out.push(CspConstraint::new(scope, allowed));
+            let scan = scan_atom(b, rel, atom);
+            out.push(CspConstraint::new(
+                scan.schema().to_vec(),
+                scan.rows().map(<[u32]>::to_vec),
+            ));
         }
     }
     out

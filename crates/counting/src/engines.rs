@@ -54,11 +54,7 @@ impl PpCountingEngine for BruteForceEngine {
     }
 
     fn count_threaded(&self, pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
-        if threads > 1 {
-            crate::brute::count_pp_brute_par(pp, b, threads)
-        } else {
-            crate::brute::count_pp_brute(pp, b)
-        }
+        crate::brute::count_pp_brute_par(pp, b, threads)
     }
 }
 

@@ -73,11 +73,8 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
                 }
             }
         }
-        let checker = TdCounter::new(
-            sub.universe_size(),
-            universe_size(b),
-            hom_constraints(&sub, b),
-        );
+        let domain = b.universe_size();
+        let checker = TdCounter::new(sub.universe_size(), domain, hom_constraints(&sub, b));
         if comp.boundary.is_empty() {
             // A sentence component: satisfiable or the whole count is 0.
             if !checker.satisfiable(&[]) {
@@ -85,56 +82,44 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
             }
             continue;
         }
-        // Enumerate boundary assignments; keep the extendable ones.
+        // Sweep the boundary assignments in contiguous ranges of the flat
+        // assignment order, a few per worker (inline at one thread), and
+        // keep the extendable ones. The constraint sorts and deduplicates
+        // them, so the result does not depend on the split. A space past
+        // `u128` (which no sweep finishes) is one unsplit range.
         let arity = comp.boundary.len();
-        let total = assignment_space(universe_size(b), arity);
-        let allowed: HashSet<Vec<u32>> = match total {
-            Some(total) if threads > 1 && total > 1 => {
-                // Shard the boundary sweep: each worker probes one
-                // contiguous index range and returns its extendable
-                // tuples; the union is order-insensitive.
-                let checker = &checker;
-                let jobs: Vec<_> = epq_pool::split_ranges(total, threads.saturating_mul(4))
-                    .into_iter()
-                    .map(|(start, end)| {
-                        move || {
-                            let mut found = Vec::new();
-                            let domain = universe_size(b);
-                            for_each_assignment_in_range(
-                                domain,
-                                arity,
-                                start,
-                                end,
-                                &mut |values| {
-                                    let pins: Vec<(u32, u32)> = (0..arity as u32)
-                                        .map(|i| (i, values[i as usize]))
-                                        .collect();
-                                    if checker.satisfiable(&pins) {
-                                        found.push(values.to_vec());
-                                    }
-                                },
-                            );
-                            found
-                        }
-                    })
-                    .collect();
-                epq_pool::run_jobs(threads, jobs)
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            }
-            _ => {
-                let mut allowed = HashSet::new();
-                for_each_assignment(universe_size(b), arity, &mut |values| {
-                    let pins: Vec<(u32, u32)> =
-                        (0..arity as u32).map(|i| (i, values[i as usize])).collect();
-                    if checker.satisfiable(&pins) {
-                        allowed.insert(values.to_vec());
-                    }
-                });
-                allowed
-            }
+        let ranges: Vec<Option<(u128, u128)>> = match assignment_space(domain, arity) {
+            Some(total) => epq_pool::split_ranges(total, threads.saturating_mul(4))
+                .into_iter()
+                .map(Some)
+                .collect(),
+            None => vec![None],
         };
+        let checker = &checker;
+        let jobs: Vec<_> = ranges
+            .into_iter()
+            .map(|range| {
+                move || {
+                    let mut found = Vec::new();
+                    let mut pins = Vec::with_capacity(arity);
+                    let mut probe = |values: &[u32]| {
+                        pins.clear();
+                        pins.extend((0..arity as u32).zip(values.iter().copied()));
+                        if checker.satisfiable(&pins) {
+                            found.push(values.to_vec());
+                        }
+                    };
+                    match range {
+                        Some((start, end)) => {
+                            for_each_assignment_in_range(domain, arity, start, end, &mut probe)
+                        }
+                        None => for_each_assignment(domain, arity, &mut probe),
+                    }
+                    found
+                }
+            })
+            .collect();
+        let allowed = epq_pool::run_jobs(threads, jobs).into_iter().flatten();
         constraints.push(CspConstraint::new(comp.boundary.clone(), allowed));
     }
 
@@ -152,20 +137,13 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     }
 
     // Dangling quantified variables (no atoms at all) need a nonempty
-    // universe: they are Gaifman-isolated quantified vertices.
-    let gaifman = structure.gaifman_graph();
-    for v in s as u32..universe as u32 {
-        if gaifman.degree(v) == 0 && !in_any_tuple(structure, v) && universe_size(b) == 0 {
-            return Natural::zero();
-        }
+    // universe.
+    if b.universe_size() == 0 && (s as u32..universe as u32).any(|v| !in_any_tuple(structure, v)) {
+        return Natural::zero();
     }
 
     // Count over S by DP on (a tree decomposition of) the contract graph.
-    TdCounter::new(s, universe_size(b), constraints).count(&[], threads)
-}
-
-fn universe_size(b: &Structure) -> usize {
-    b.universe_size()
+    TdCounter::new(s, b.universe_size(), constraints).count(&[], threads)
 }
 
 fn in_any_tuple(s: &Structure, v: u32) -> bool {

@@ -26,6 +26,7 @@
 //! inline).
 
 use epq_bigint::Natural;
+use epq_structures::structure::search_rows;
 
 /// Nodes whose per-table work (source entries × introduce fan-out) is
 /// below this run inline even under a `threads > 1` pass; a scoped
@@ -106,24 +107,7 @@ impl FlatTable {
     }
 
     fn position(&self, key: &[u32]) -> Option<usize> {
-        if self.arity == 0 {
-            return if self.counts.is_empty() {
-                None
-            } else {
-                Some(0)
-            };
-        }
-        let n = self.len();
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.key(mid).cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+        search_rows(&self.keys, self.len(), key).ok()
     }
 
     /// Iterates `(key, count)` entries in sorted key order.
@@ -266,18 +250,10 @@ impl FlatTable {
         small.sharded(1, threads, &build, merge_disjoint)
     }
 
-    /// First index whose key is `>= key`.
+    /// First index whose key is `>= key` (keys are unique, so a hit is
+    /// that index).
     fn lower_bound(&self, key: &[u32]) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.key(mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        search_rows(&self.keys, self.len(), key).unwrap_or_else(|i| i)
     }
 
     /// Runs `build` over the whole entry range inline, or — when

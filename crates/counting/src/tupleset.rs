@@ -19,6 +19,8 @@
 //! Membership is the only operation the DP needs, so no iteration
 //! order is ever observable — determinism is unaffected.
 
+use epq_structures::structure::search_rows;
+
 /// An immutable set of fixed-arity `u32` tuples, packed for fast
 /// membership tests. See the [module docs](self).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,22 +132,7 @@ impl TupleSet {
         match &self.repr {
             Repr::W64(words) => words.binary_search(&pack64(tuple)).is_ok(),
             Repr::W128(words) => words.binary_search(&pack128(tuple)).is_ok(),
-            Repr::Wide { len, rows } => {
-                if self.arity == 0 {
-                    return *len == 1;
-                }
-                let arity = self.arity;
-                let (mut lo, mut hi) = (0usize, *len);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    match rows[mid * arity..(mid + 1) * arity].cmp(tuple) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Greater => hi = mid,
-                        std::cmp::Ordering::Equal => return true,
-                    }
-                }
-                false
-            }
+            Repr::Wide { len, rows } => search_rows(rows, *len, tuple).is_ok(),
         }
     }
 

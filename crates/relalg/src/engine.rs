@@ -6,18 +6,21 @@ use epq_logic::PpFormula;
 use epq_structures::{RelId, Structure};
 use std::collections::HashMap;
 
-/// A record of the join order chosen for a formula (for inspection and
-/// the benchmark reports).
+/// A record of the join order chosen for a formula, built only by
+/// [`explain_pp`] (`epq explain`); counting formats no plan.
 #[derive(Clone, Debug, Default)]
 pub struct JoinPlan {
-    /// One line per step, e.g. `scan E(1,2) [3 rows]`, `join -> 12 rows`.
+    /// One line per step, e.g. `scan E[1, 2] -> 3 rows`,
+    /// `join E[2, 3] -> 12 rows`.
     pub steps: Vec<String>,
 }
 
 /// Scans one atom `(rel, element-tuple)` against `b`, producing a
-/// relation whose schema is the atom's distinct element indices (repeated
-/// elements become equality selections).
-fn scan_atom(b: &Structure, rel: RelId, atom: &[u32]) -> Relation {
+/// relation whose schema is the atom's distinct element indices in order
+/// of first occurrence (repeated elements become equality selections).
+/// This is the one atom scan of the workspace: the relational-algebra
+/// joins and the CSP constraints of `epq-counting` both build on it.
+pub fn scan_atom(b: &Structure, rel: RelId, atom: &[u32]) -> Relation {
     // Distinct columns in order of first occurrence.
     let mut schema: Vec<u32> = Vec::new();
     for &e in atom {
@@ -149,7 +152,8 @@ impl ScanCache {
 /// Joins all atoms of `pp` against `b` greedily (smallest relation first,
 /// preferring scans that share a column with what has been joined so far),
 /// pulling each atom's scan from `scan` (a direct [`scan_atom`] or a
-/// [`ScanCache`]). Returns the joined relation and the plan taken.
+/// [`ScanCache`]). Records the steps taken in `plan` when one is given;
+/// counting passes `None` and formats nothing.
 ///
 /// Each join's outer (probe) relation is partitioned across up to
 /// `threads` pool workers; the greedy join *order* is chosen before any
@@ -160,42 +164,41 @@ fn join_all_via(
     b: &Structure,
     threads: usize,
     scan: &mut dyn FnMut(&Structure, RelId, &[u32]) -> Relation,
-) -> (Relation, JoinPlan) {
-    let mut plan = JoinPlan::default();
-    let mut scans: Vec<(String, Relation)> = Vec::new();
+    mut plan: Option<&mut JoinPlan>,
+) -> Relation {
+    let mut scans: Vec<(&str, &[u32], Relation)> = Vec::new();
     for (rel, name, _) in pp.signature().iter() {
         for t in pp.structure().relation(rel).tuples() {
             let r = scan(b, rel, t);
-            plan.steps
-                .push(format!("scan {name}{t:?} -> {} rows", r.len()));
-            scans.push((format!("{name}{t:?}"), r));
+            if let Some(plan) = plan.as_deref_mut() {
+                plan.steps
+                    .push(format!("scan {name}{t:?} -> {} rows", r.len()));
+            }
+            scans.push((name, t, r));
         }
     }
     if scans.is_empty() {
-        return (Relation::unit(), plan);
+        return Relation::unit();
     }
-    scans.sort_by_key(|(_, r)| r.len());
-    let mut acc = scans.remove(0).1;
+    scans.sort_by_key(|(_, _, r)| r.len());
+    let mut acc = scans.remove(0).2;
     while !scans.is_empty() {
         // Prefer a scan sharing a column with the accumulator.
         let idx = scans
             .iter()
-            .position(|(_, r)| r.schema().iter().any(|c| acc.schema().contains(c)))
+            .position(|(_, _, r)| r.schema().iter().any(|c| acc.schema().contains(c)))
             .unwrap_or(0);
-        let (label, r) = scans.remove(idx);
+        let (name, t, r) = scans.remove(idx);
         acc = acc.join(&r, threads);
-        plan.steps
-            .push(format!("join {label} -> {} rows", acc.len()));
+        if let Some(plan) = plan.as_deref_mut() {
+            plan.steps
+                .push(format!("join {name}{t:?} -> {} rows", acc.len()));
+        }
         if acc.is_empty() {
             break;
         }
     }
-    (acc, plan)
-}
-
-/// [`join_all_via`] with direct (uncached) atom scans.
-fn join_all(pp: &PpFormula, b: &Structure, threads: usize) -> (Relation, JoinPlan) {
-    join_all_via(pp, b, threads, &mut |b, rel, atom| scan_atom(b, rel, atom))
+    acc
 }
 
 /// Counts `|φ(B)|` for a pp-formula by relational algebra, component by
@@ -208,7 +211,7 @@ fn join_all(pp: &PpFormula, b: &Structure, threads: usize) -> (Relation, JoinPla
 /// pool workers (see [`Relation::join`]); counts are bit-identical at
 /// every thread count.
 pub fn count_pp(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
-    count_pp_via(pp, b, threads, &mut |b, rel, atom| scan_atom(b, rel, atom))
+    count_pp_via(pp, b, threads, &mut scan_atom)
 }
 
 /// [`count_pp`] with atom scans served from (and inserted into)
@@ -252,7 +255,7 @@ fn count_pp_via(
                 }
             }
         } else {
-            let (joined, _) = join_all_via(&component, b, threads, scan);
+            let joined = join_all_via(&component, b, threads, scan, None);
             if joined.is_empty() {
                 // An early-terminated empty join may have a partial
                 // schema; the count is zero either way.
@@ -298,7 +301,7 @@ pub fn answers_pp(pp: &PpFormula, b: &Structure, threads: usize) -> Relation {
             }
             continue;
         }
-        let (joined, _) = join_all(&component, b, threads);
+        let joined = join_all_via(&component, b, threads, &mut scan_atom, None);
         if joined.is_empty() {
             // Empty join (possibly early-terminated with a partial
             // schema): the whole answer set is empty.
@@ -348,7 +351,9 @@ pub fn count_ucq(disjuncts: &[PpFormula], b: &Structure, threads: usize) -> Natu
 
 /// Produces the join plan for a pp-formula (for reports).
 pub fn explain_pp(pp: &PpFormula, b: &Structure) -> JoinPlan {
-    join_all(pp, b, 1).1
+    let mut plan = JoinPlan::default();
+    join_all_via(pp, b, 1, &mut scan_atom, Some(&mut plan));
+    plan
 }
 
 #[cfg(test)]

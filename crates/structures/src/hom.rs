@@ -8,17 +8,19 @@
 //!
 //! The search is backtracking over a connectivity-driven static variable
 //! order (maximum-cardinality search), checking each constraint as soon as
-//! its last variable is assigned and pruning with per-vertex candidate
-//! filtering against unary projections of **B**'s relations.
+//! its last variable is assigned (a binary search in **B**'s sorted
+//! relation, [`Structure::has_tuple`]) and pruning with per-vertex
+//! candidate filtering against unary projections of **B**'s relations.
 
-use crate::structure::{RelId, Structure, StructureIndex};
+use crate::structure::{RelId, Structure};
 use epq_bigint::Natural;
 use std::ops::ControlFlow;
 
 /// A prepared homomorphism search from `a` to `b` (reusable across calls).
 pub struct HomSearch<'a> {
     a: &'a Structure,
-    b_index: StructureIndex,
+    /// The target; each constraint probes its sorted relations directly.
+    b: &'a Structure,
     /// Static assignment order of `a`'s elements.
     order: Vec<u32>,
     /// position_of[element] = its index in `order`.
@@ -148,7 +150,7 @@ impl<'a> HomSearch<'a> {
 
         HomSearch {
             a,
-            b_index: b.index(),
+            b,
             order,
             position_of,
             checks,
@@ -187,7 +189,7 @@ impl<'a> HomSearch<'a> {
             for (rel, tuple) in &self.checks[pos] {
                 image.clear();
                 image.extend(tuple.iter().map(|&e| assignment[e as usize]));
-                if !self.b_index.has_tuple(*rel, &image) {
+                if !self.b.has_tuple(*rel, &image) {
                     ok = false;
                     break;
                 }
@@ -267,16 +269,14 @@ pub fn is_homomorphism(a: &Structure, b: &Structure, h: &[u32]) -> bool {
     if h.iter().any(|&y| y as usize >= b.universe_size()) {
         return false;
     }
-    let idx = b.index();
-    for (rel, _, _) in a.signature().iter() {
-        for tuple in a.relation(rel).tuples() {
-            let image: Vec<u32> = tuple.iter().map(|&e| h[e as usize]).collect();
-            if !idx.has_tuple(rel, &image) {
-                return false;
-            }
-        }
-    }
-    true
+    let mut image = Vec::new();
+    a.signature().iter().all(|(rel, _, _)| {
+        a.relation(rel).tuples().all(|tuple| {
+            image.clear();
+            image.extend(tuple.iter().map(|&e| h[e as usize]));
+            b.has_tuple(rel, &image)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //! one-point paddings. This crate provides:
 //!
 //! * [`Signature`] / [`Structure`] — finite τ-structures, relations stored
-//!   as (sorted, deduplicated) lists of tuples, exactly the representation
-//!   the paper assumes ("relations … represented as lists of tuples");
+//!   once as (sorted, deduplicated) lists of tuples, exactly the
+//!   representation the paper assumes ("relations … represented as lists
+//!   of tuples"), and probed in place by binary search;
 //! * [`hom`] — homomorphism existence / search / counting / enumeration with
 //!   pinned partial assignments (backtracking with forward pruning);
 //! * [`ops`] — direct products **A** × **B**, powers, disjoint unions,

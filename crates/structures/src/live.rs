@@ -99,11 +99,7 @@ impl LiveStructure {
     /// Panics if elements are out of range or the arity mismatches
     /// (same contract as [`Structure::add_tuple`]).
     pub fn insert_tuple(&mut self, rel: RelId, tuple: &[u32]) -> bool {
-        // One membership probe, inside add_tuple (which is idempotent):
-        // whether it inserted shows in the relation's length.
-        let before = self.inner.relation(rel).len();
-        self.inner.add_tuple(rel, tuple);
-        if self.inner.relation(rel).len() == before {
+        if !self.inner.add_tuple(rel, tuple) {
             return false;
         }
         self.dirty[rel.0 as usize] = true;

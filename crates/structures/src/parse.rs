@@ -211,6 +211,16 @@ fn parse_one(c: &mut Cursor) -> Result<Structure, ParseError> {
                 })
             }
         };
+        if arity == 0 {
+            return Err(ParseError {
+                message: format!("relation {} has arity 0; arities start at 1", clause.name),
+            });
+        }
+        if sig.lookup(&clause.name).is_some() {
+            return Err(ParseError {
+                message: format!("relation {} is declared twice", clause.name),
+            });
+        }
         sig.add_symbol(clause.name.clone(), arity);
     }
     let mut s = Structure::new(sig, universe);
@@ -299,6 +309,15 @@ mod tests {
     fn rejects_mixed_arity() {
         let err = parse_structure("structure { universe 3 E = { (0,1), (0,1,2) } }").unwrap_err();
         assert!(err.message.contains("mixed arities"));
+    }
+
+    #[test]
+    fn rejects_zero_arity_and_repeated_names() {
+        let err = parse_structure("structure { universe 2 E = { (0,0) } P/0 = { } }").unwrap_err();
+        assert!(err.message.contains("arity 0"), "{err}");
+        let err =
+            parse_structure("structure { universe 2 E = { (0,1) } E = { (1,0) } }").unwrap_err();
+        assert!(err.message.contains("declared twice"), "{err}");
     }
 
     #[test]

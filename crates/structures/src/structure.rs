@@ -1,7 +1,7 @@
 //! Signatures and finite relational structures.
 
 use epq_graph::Graph;
-use std::collections::HashSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Identifier of a relation symbol within a [`Signature`] (its index).
@@ -96,6 +96,25 @@ impl Signature {
     }
 }
 
+/// Binary search over `len` sorted rows of width `key.len()` stored back
+/// to back in `rows`: `Ok(i)` if row `i` equals `key`, `Err(i)` if `key`
+/// belongs before row `i`. [`Relation`] and the DP tables and constraint
+/// sets of `epq-counting` all probe their arenas through it.
+#[inline]
+pub fn search_rows(rows: &[u32], len: usize, key: &[u32]) -> Result<usize, usize> {
+    let arity = key.len();
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match rows[mid * arity..(mid + 1) * arity].cmp(key) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
 /// One relation instance: an `arity`-strided, sorted, deduplicated tuple
 /// store.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -133,26 +152,27 @@ impl Relation {
         self.data.chunks_exact(self.arity)
     }
 
-    /// Binary search for a tuple.
-    pub fn contains(&self, tuple: &[u32]) -> bool {
+    /// [`search_rows`] over the arena.
+    fn search(&self, tuple: &[u32]) -> Result<usize, usize> {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        self.data
-            .chunks_exact(self.arity)
-            .collect::<Vec<_>>()
-            .binary_search(&tuple)
-            .is_ok()
+        search_rows(&self.data, self.len(), tuple)
     }
 
-    fn insert(&mut self, tuple: &[u32]) {
-        assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        let mut tuples: Vec<&[u32]> = self.data.chunks_exact(self.arity).collect();
-        match tuples.binary_search(&tuple) {
-            Ok(_) => {}
-            Err(pos) => {
-                tuples.insert(pos, tuple);
-                self.data = tuples.concat();
-            }
-        }
+    /// Whether `tuple` is in the relation (no allocation).
+    pub fn contains(&self, tuple: &[u32]) -> bool {
+        self.search(tuple).is_ok()
+    }
+
+    /// Inserts `tuple` at its sorted position, growing the arena by
+    /// exactly one tuple; returns whether it was new.
+    fn insert(&mut self, tuple: &[u32]) -> bool {
+        let Err(i) = self.search(tuple) else {
+            return false;
+        };
+        let at = i * self.arity;
+        self.data.reserve_exact(self.arity);
+        self.data.splice(at..at, tuple.iter().copied());
+        true
     }
 }
 
@@ -199,11 +219,12 @@ impl Structure {
         &self.relations[rel.0 as usize]
     }
 
-    /// Adds a tuple to `rel`'s relation (idempotent).
+    /// Adds a tuple to `rel`'s relation (idempotent), returning whether
+    /// it was new.
     ///
     /// # Panics
     /// Panics if elements are out of range or the arity mismatches.
-    pub fn add_tuple(&mut self, rel: RelId, tuple: &[u32]) {
+    pub fn add_tuple(&mut self, rel: RelId, tuple: &[u32]) -> bool {
         for &e in tuple {
             assert!(
                 (e as usize) < self.universe_size,
@@ -211,7 +232,7 @@ impl Structure {
                 self.universe_size
             );
         }
-        self.relations[rel.0 as usize].insert(tuple);
+        self.relations[rel.0 as usize].insert(tuple)
     }
 
     /// Adds a tuple by relation name.
@@ -278,30 +299,6 @@ impl Structure {
             }
         }
         (sub, elements.to_vec())
-    }
-
-    /// Builds per-relation hash indexes for fast membership checks during
-    /// homomorphism search.
-    pub fn index(&self) -> StructureIndex {
-        StructureIndex {
-            sets: self
-                .relations
-                .iter()
-                .map(|r| r.tuples().map(|t| t.to_vec()).collect())
-                .collect(),
-        }
-    }
-}
-
-/// Hash-based tuple membership index for a [`Structure`].
-pub struct StructureIndex {
-    sets: Vec<HashSet<Vec<u32>>>,
-}
-
-impl StructureIndex {
-    /// Whether `tuple` is in relation `rel`.
-    pub fn has_tuple(&self, rel: RelId, tuple: &[u32]) -> bool {
-        self.sets[rel.0 as usize].contains(tuple)
     }
 }
 
@@ -430,14 +427,5 @@ mod tests {
         let shown = s.to_string();
         assert!(shown.contains("universe 2"));
         assert!(shown.contains("E = { (0,1) }"));
-    }
-
-    #[test]
-    fn index_membership() {
-        let mut s = Structure::new(digraph_sig(), 3);
-        s.add_tuple(RelId(0), &[0, 1]);
-        let idx = s.index();
-        assert!(idx.has_tuple(RelId(0), &[0, 1]));
-        assert!(!idx.has_tuple(RelId(0), &[1, 0]));
     }
 }

@@ -1,10 +1,12 @@
 //! Property tests for the structures substrate: homomorphism counting
 //! laws under products and unions, core idempotence, parse/display
-//! round-trips, augmentation pinning, and `core_of`'s skipped probes.
+//! round-trips, augmentation pinning, `core_of`'s skipped probes, and
+//! the sorted tuple store against a `BTreeSet` model.
 
 use epq_bigint::Natural;
-use epq_structures::{core, hom, iso, ops, parse, Signature, Structure};
+use epq_structures::{core, hom, iso, ops, parse, LiveStructure, RelId, Signature, Structure};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random digraph structure on up to 4 elements (an edge
 /// mask over ordered pairs, loops included).
@@ -200,5 +202,37 @@ proptest! {
         // elements are dropped in the same order.
         prop_assert_eq!(map, reference_map);
         prop_assert_eq!(core, reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn sorted_store_matches_a_btreeset_model(
+        inserts in collection::vec((0usize..3, 0u32..3, 0u32..3, 0u32..3), 0..48),
+    ) {
+        // Relation r has arity r + 1; a 3-element universe makes
+        // duplicate inserts common.
+        let sig = Signature::from_symbols([("A", 1), ("B", 2), ("C", 3)]);
+        let mut live = LiveStructure::new(sig, 3);
+        let mut model: Vec<BTreeSet<Vec<u32>>> = vec![BTreeSet::new(); 3];
+        for (r, x, y, z) in inserts {
+            let tuple = &[x, y, z][..=r];
+            let rel = RelId(r as u32);
+            prop_assert_eq!(live.insert_tuple(rel, tuple), model[r].insert(tuple.to_vec()));
+            let b = live.snapshot();
+            for (r, expected) in model.iter().enumerate() {
+                let rel = RelId(r as u32);
+                let stored: Vec<Vec<u32>> = b.relation(rel).tuples().map(<[u32]>::to_vec).collect();
+                prop_assert_eq!(&stored, &expected.iter().cloned().collect::<Vec<_>>());
+                prop_assert_eq!(b.relation(rel).len(), expected.len());
+                for code in 0..3u32.pow(r as u32 + 1) {
+                    let probe: Vec<u32> = (0..=r as u32).map(|i| code / 3u32.pow(i) % 3).collect();
+                    prop_assert_eq!(b.has_tuple(rel, &probe), expected.contains(&probe));
+                }
+            }
+        }
+        prop_assert_eq!(live.tuple_count(), model.iter().map(BTreeSet::len).sum::<usize>());
     }
 }

@@ -63,3 +63,20 @@ fn deeply_nested_queries_are_an_error_not_a_stack_overflow() {
     assert!(stderr.starts_with("epq: "), "{stderr}");
     assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
 }
+
+#[test]
+fn malformed_structure_signatures_are_an_error_not_a_panic() {
+    for data in [
+        "structure { universe 2 E = { (0,0) } P/0 = { } }",
+        "structure { universe 2 E = { (0,1) } E = { (1,0) } }",
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_epq"))
+            .args(["count", "--query", "E(x,y)", "--data-inline", data])
+            .output()
+            .expect("epq runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{data}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{data}: {stderr}");
+        assert!(stderr.starts_with("epq: "), "{data}: {stderr}");
+    }
+}
