@@ -1,9 +1,8 @@
 //! Brute-force counting by assignment enumeration (ground truth).
 
 use epq_bigint::Natural;
-use epq_logic::{PpFormula, Query, Var};
+use epq_logic::{PpFormula, Query};
 use epq_structures::Structure;
-use std::collections::HashMap;
 
 /// Counts `|φ(B)|` for an arbitrary ep-query by enumerating all
 /// `|B|^|lib(φ)|` assignments and evaluating the formula directly
@@ -13,15 +12,13 @@ use std::collections::HashMap;
 /// against.
 pub fn count_ep_brute(query: &Query, b: &Structure) -> Natural {
     let liberal = query.liberal();
+    let formula = query.formula().bind(b.signature(), liberal);
+    let mut env = vec![0; formula.slots()];
     let mut count = Natural::zero();
     let one = Natural::one();
     for_each_assignment(b.universe_size(), liberal.len(), &mut |values| {
-        let env: HashMap<Var, u32> = liberal
-            .iter()
-            .cloned()
-            .zip(values.iter().copied())
-            .collect();
-        if query.formula().satisfied_by(b, &env) {
+        env[..values.len()].copy_from_slice(values);
+        if formula.holds(b, &mut env) {
             count += &one;
         }
     });

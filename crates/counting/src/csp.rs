@@ -41,8 +41,6 @@ pub use crate::table::PAR_NODE_THRESHOLD;
 use crate::tupleset::TupleSet;
 use epq_bigint::Natural;
 use epq_graph::{treewidth, Graph, NiceNode, NiceTreeDecomposition};
-use epq_relalg::engine::scan_atom;
-use epq_structures::Structure;
 
 /// One constraint: an ordered scope of distinct variables and the set of
 /// allowed value tuples.
@@ -64,7 +62,8 @@ impl CspConstraint {
     /// differs from the scope's.
     pub fn new<I>(scope: Vec<u32>, allowed: I) -> Self
     where
-        I: IntoIterator<Item = Vec<u32>>,
+        I: IntoIterator,
+        I::Item: AsRef<[u32]>,
     {
         let mut sorted = scope.clone();
         sorted.sort_unstable();
@@ -80,8 +79,8 @@ impl CspConstraint {
 }
 
 /// A prepared counting solver over a nice tree decomposition of the
-/// constraint network's primal graph. Reusable across different pin sets
-/// (the FPT algorithm's boundary enumeration relies on this).
+/// constraint network's primal graph, reusable across different pin
+/// sets.
 pub struct TdCounter {
     variables: usize,
     domain: usize,
@@ -129,11 +128,6 @@ impl TdCounter {
     /// The width of the decomposition in use.
     pub fn width(&self) -> usize {
         self.nice.width()
-    }
-
-    /// Whether any satisfying assignment exists under the pins.
-    pub fn satisfiable(&self, pins: &[(u32, u32)]) -> bool {
-        !self.count(pins, 1).is_zero()
     }
 
     /// Counts satisfying assignments with the given variables pinned,
@@ -263,36 +257,27 @@ pub fn count_csp_brute(
     count
 }
 
-/// Builds the atom constraints of a structure-to-structure homomorphism
-/// problem: one constraint per tuple of `a`, over the tuple's distinct
-/// elements, whose allowed set is the relational-algebra scan of that
-/// atom against `b` ([`scan_atom`]: repeated elements in `a`'s tuple
-/// filter `b`'s tuples).
-pub fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
-    assert_eq!(
-        a.signature(),
-        b.signature(),
-        "hom constraints need equal signatures"
-    );
-    let mut out = Vec::new();
-    for (rel, _, _) in a.signature().iter() {
-        for atom in a.relation(rel).tuples() {
-            let scan = scan_atom(b, rel, atom);
-            out.push(CspConstraint::new(
-                scan.schema().to_vec(),
-                scan.rows().map(<[u32]>::to_vec),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epq_relalg::engine::scan_atom;
     use epq_structures::hom::count_homomorphisms;
-    use epq_structures::Signature;
+    use epq_structures::{Signature, Structure};
     use std::collections::HashSet;
+
+    /// The atom constraints of a structure-to-structure homomorphism
+    /// problem: one constraint per tuple of `a`, whose allowed set is the
+    /// scan of that atom against `b`.
+    fn hom_constraints(a: &Structure, b: &Structure) -> Vec<CspConstraint> {
+        let mut out = Vec::new();
+        for (rel, _, _) in a.signature().iter() {
+            for atom in a.relation(rel).tuples() {
+                let scan = scan_atom(b, rel, atom);
+                out.push(CspConstraint::new(scan.schema().to_vec(), scan.rows()));
+            }
+        }
+        out
+    }
 
     /// Counts homomorphisms `a → b` by the tree-decomposition DP (the
     /// Dalmau–Jonsson algorithm), for checking [`hom_constraints`] and

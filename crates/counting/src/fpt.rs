@@ -9,152 +9,86 @@
 //! 1. replaces `φ` by its **core** (logically equivalent, hence
 //!    answer-preserving);
 //! 2. turns each **∃-component** into a *derived constraint* over its
-//!    boundary `∂ ⊆ S`: the set of boundary assignments that extend to a
-//!    homomorphism of the component into **B**, computed by enumerating
-//!    `|B|^|∂|` boundary tuples (∂ is a clique of contract(A, S), so its
-//!    size is at most `tw(contract) + 1`) and checking each with a
-//!    bounded-treewidth homomorphism DP ([`crate::csp::TdCounter`]);
-//! 3. gates on the liberal-free components (plain satisfiability checks);
+//!    boundary `∂ ⊆ S`: the projection onto `∂` of the join of the
+//!    component's atom scans, computed by variable elimination
+//!    ([`epq_relalg::engine::eliminate`] with `keep = ∂`);
+//! 3. gates on the liberal-free components: the same elimination with
+//!    `keep = ∅`, where an empty result makes the whole count 0;
 //! 4. counts assignments of `S` satisfying the liberal atoms plus the
 //!    derived constraints by the counting DP over a tree decomposition of
 //!    **contract(A, S)** — whose primal graph is exactly the contract
 //!    graph, so bounded contract treewidth keeps the tables polynomial.
 //!
-//! With both treewidths bounded by the condition, the running time is
-//! `f(φ) · poly(|B|)` — the FPT regime of Theorem 3.2(1).
+//! # Why step 2 stays FPT
+//!
+//! The elimination order comes from a tree decomposition of the
+//! component's Gaifman graph with `∂` made a clique, and every
+//! intermediate relation fits in one bag, so it has at most `|B|^(w+1)`
+//! rows for the decomposition's width `w`. The component's Gaifman graph
+//! is a subgraph of the core's, and adding `∂` to every bag of the core's
+//! decomposition makes `∂` a clique, so `w ≤ tw(core) + |∂|`. The
+//! boundary is a clique of contract(A, S), so `|∂| ≤ tw(contract) + 1`.
+//! Each join and projection takes time polynomial in the rows of its
+//! inputs and output, so step 2 costs `|B|^O(tw(core) + tw(contract))`
+//! per component, and with both treewidths bounded by the condition the
+//! running time is `f(φ) · poly(|B|)` — the FPT regime of Theorem
+//! 3.2(1). (Past `epq_graph::treewidth::EXACT_VERTEX_LIMIT` vertices the
+//! decomposition is heuristic; its width still depends on `φ` alone.)
 
-use crate::brute::{assignment_space, for_each_assignment, for_each_assignment_in_range};
-use crate::csp::{hom_constraints, CspConstraint, TdCounter};
+use crate::csp::{CspConstraint, TdCounter};
 use epq_bigint::Natural;
 use epq_logic::contract::existential_components;
 use epq_logic::PpFormula;
+use epq_relalg::engine::{eliminate, scan_atom};
+use epq_relalg::Relation;
 use epq_structures::Structure;
-use std::collections::HashSet;
 
 /// Counts `|φ(B)|` with the FPT algorithm. Exact for *every* pp-formula;
 /// fixed-parameter tractable when the tractability condition holds.
 ///
-/// Up to `threads` workers share its two hot loops (`1` runs inline):
-///
-/// * the per-∃-component **boundary enumeration** (`|B|^|∂|`
-///   satisfiability probes against the component's homomorphism DP)
-///   splits by contiguous ranges of the flat assignment order;
-/// * the final **counting DP** over the contract graph shards each
-///   node's table construction by sorted-order chunks of the child
-///   table ([`TdCounter::count`]).
-///
-/// Both merges (set union of extendable boundary tuples; disjoint
-/// unions / summed `Natural` partials) are order-insensitive, so the
+/// Up to `threads` workers share the joins of each ∃-component's
+/// [`eliminate`] run (each join's probe side is split by row ranges) and
+/// the final **counting DP** over the contract graph, which shards each
+/// node's table construction by sorted-order chunks of the child table
+/// ([`TdCounter::count`]). Both merges are order-insensitive, so the
 /// result is identical at every thread count.
 pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     let core = pp.core();
     let s = core.liberal_count();
     let structure = core.structure();
-    let universe = structure.universe_size();
-
-    // Derived constraints per ∃-component, plus satisfiability gates for
-    // the liberal-free ones.
+    let components = existential_components(&core);
+    let component_of = |e: &u32| components.iter().position(|c| c.interior.contains(e));
+    // Scan each atom once: a liberal atom is a constraint as it stands,
+    // any other one joins its ∃-component's scans.
     let mut constraints: Vec<CspConstraint> = Vec::new();
-    for comp in existential_components(&core) {
-        // The component substructure: interior ∪ boundary, with the atoms
-        // touching the interior.
-        let mut members: Vec<u32> = comp.boundary.clone();
-        members.extend(comp.interior.iter().copied());
-        let in_interior: HashSet<u32> = comp.interior.iter().copied().collect();
-        let index_of = |e: u32| members.iter().position(|&m| m == e).unwrap() as u32;
-        let mut sub = Structure::new(structure.signature().clone(), members.len());
-        let mut scratch = Vec::new();
-        for (rel, _, _) in structure.signature().iter() {
-            for t in structure.relation(rel).tuples() {
-                if t.iter().any(|e| in_interior.contains(e)) {
-                    scratch.clear();
-                    scratch.extend(t.iter().map(|&e| index_of(e)));
-                    sub.add_tuple(rel, &scratch);
-                }
+    let mut scans: Vec<Vec<Relation>> = vec![Vec::new(); components.len()];
+    for (rel, _, _) in structure.signature().iter() {
+        for atom in structure.relation(rel).tuples() {
+            let scan = scan_atom(b, rel, atom);
+            match atom.iter().find_map(component_of) {
+                Some(i) => scans[i].push(scan),
+                None => constraints.push(CspConstraint::new(scan.schema().to_vec(), scan.rows())),
             }
         }
-        let domain = b.universe_size();
-        let checker = TdCounter::new(sub.universe_size(), domain, hom_constraints(&sub, b));
-        if comp.boundary.is_empty() {
-            // A sentence component: satisfiable or the whole count is 0.
-            if !checker.satisfiable(&[]) {
-                return Natural::zero();
-            }
-            continue;
+    }
+    for (comp, scans) in components.iter().zip(scans) {
+        // A quantified element in no atom is `∃u.⊤`, false on the empty
+        // universe.
+        if scans.is_empty() && b.universe_size() == 0 {
+            return Natural::zero();
         }
-        // Sweep the boundary assignments in contiguous ranges of the flat
-        // assignment order, a few per worker (inline at one thread), and
-        // keep the extendable ones. The constraint sorts and deduplicates
-        // them, so the result does not depend on the split. A space past
-        // `u128` (which no sweep finishes) is one unsplit range.
-        let arity = comp.boundary.len();
-        let ranges: Vec<Option<(u128, u128)>> = match assignment_space(domain, arity) {
-            Some(total) => epq_pool::split_ranges(total, threads.saturating_mul(4))
-                .into_iter()
-                .map(Some)
-                .collect(),
-            None => vec![None],
-        };
-        let checker = &checker;
-        let jobs: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                move || {
-                    let mut found = Vec::new();
-                    let mut pins = Vec::with_capacity(arity);
-                    let mut probe = |values: &[u32]| {
-                        pins.clear();
-                        pins.extend((0..arity as u32).zip(values.iter().copied()));
-                        if checker.satisfiable(&pins) {
-                            found.push(values.to_vec());
-                        }
-                    };
-                    match range {
-                        Some((start, end)) => {
-                            for_each_assignment_in_range(domain, arity, start, end, &mut probe)
-                        }
-                        None => for_each_assignment(domain, arity, &mut probe),
-                    }
-                    found
-                }
-            })
-            .collect();
-        let allowed = epq_pool::run_jobs(threads, jobs).into_iter().flatten();
-        constraints.push(CspConstraint::new(comp.boundary.clone(), allowed));
-    }
-
-    // Liberal atoms (entirely within S) become direct constraints.
-    let mut liberal_structure = Structure::new(structure.signature().clone(), s.max(1));
-    if s > 0 {
-        for (rel, _, _) in structure.signature().iter() {
-            for t in structure.relation(rel).tuples() {
-                if t.iter().all(|&e| (e as usize) < s) {
-                    liberal_structure.add_tuple(rel, t);
-                }
-            }
+        // The boundary assignments that extend into the interior; for a
+        // sentence component, whether one (the empty one) does.
+        let allowed = eliminate(scans, &comp.boundary, threads, &mut |_, _, _| {});
+        if allowed.is_empty() {
+            return Natural::zero();
         }
-        constraints.extend(hom_constraints(&liberal_structure, b));
+        if !comp.boundary.is_empty() {
+            constraints.push(CspConstraint::new(comp.boundary.clone(), allowed.rows()));
+        }
     }
-
-    // Dangling quantified variables (no atoms at all) need a nonempty
-    // universe.
-    if b.universe_size() == 0 && (s as u32..universe as u32).any(|v| !in_any_tuple(structure, v)) {
-        return Natural::zero();
-    }
-
     // Count over S by DP on (a tree decomposition of) the contract graph.
     TdCounter::new(s, b.universe_size(), constraints).count(&[], threads)
-}
-
-fn in_any_tuple(s: &Structure, v: u32) -> bool {
-    for (rel, _, _) in s.signature().iter() {
-        for t in s.relation(rel).tuples() {
-            if t.contains(&v) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //!   pp-formulas satisfying the tractability condition \[CM15\], used as a
 //!   black box by the paper's Theorem 3.2(1): core the formula, turn each
 //!   ∃-component into a derived constraint over its (clique-sized)
-//!   boundary via bounded-treewidth homomorphism checks, then count
+//!   boundary by variable elimination (`epq_relalg::engine::eliminate`),
+//!   then count
 //!   assignments by dynamic programming over a tree decomposition of
 //!   contract(A, S);
 //! * [`engines`] — a common trait over the three engines (brute force,

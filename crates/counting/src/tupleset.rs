@@ -59,38 +59,27 @@ impl TupleSet {
     /// Panics if a tuple's width differs from `arity`.
     pub fn from_tuples<I>(arity: usize, tuples: I) -> Self
     where
-        I: IntoIterator<Item = Vec<u32>>,
+        I: IntoIterator,
+        I::Item: AsRef<[u32]>,
     {
+        let tuples = tuples
+            .into_iter()
+            .inspect(|t| assert_eq!(t.as_ref().len(), arity, "tuple width mismatch"));
         let repr = match arity {
             1 | 2 => {
-                let mut words: Vec<u64> = tuples
-                    .into_iter()
-                    .map(|t| {
-                        assert_eq!(t.len(), arity, "tuple width mismatch");
-                        pack64(&t)
-                    })
-                    .collect();
+                let mut words: Vec<u64> = tuples.map(|t| pack64(t.as_ref())).collect();
                 words.sort_unstable();
                 words.dedup();
                 Repr::W64(words)
             }
             3 | 4 => {
-                let mut words: Vec<u128> = tuples
-                    .into_iter()
-                    .map(|t| {
-                        assert_eq!(t.len(), arity, "tuple width mismatch");
-                        pack128(&t)
-                    })
-                    .collect();
+                let mut words: Vec<u128> = tuples.map(|t| pack128(t.as_ref())).collect();
                 words.sort_unstable();
                 words.dedup();
                 Repr::W128(words)
             }
             _ => {
-                let mut rows: Vec<Vec<u32>> = tuples
-                    .into_iter()
-                    .inspect(|t| assert_eq!(t.len(), arity, "tuple width mismatch"))
-                    .collect();
+                let mut rows: Vec<Vec<u32>> = tuples.map(|t| t.as_ref().to_vec()).collect();
                 rows.sort_unstable();
                 rows.dedup();
                 let len = rows.len();

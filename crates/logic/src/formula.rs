@@ -3,7 +3,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use epq_structures::Structure;
+use epq_structures::{RelId, Signature, Structure};
 
 /// A variable name. `~` is reserved for internally generated fresh
 /// variables (the parser rejects it in user input).
@@ -210,7 +210,8 @@ impl Formula {
         self.free_vars().is_empty()
     }
 
-    /// Evaluates satisfaction `B, env ⊨ φ` directly on the syntax tree.
+    /// Evaluates satisfaction `B, env ⊨ φ` directly on the syntax tree;
+    /// a wrapper over [`Formula::bind`] and [`BoundFormula::holds`].
     ///
     /// `env` must bind (at least) every free variable. Existential
     /// quantifiers range over the universe of `b`.
@@ -219,28 +220,66 @@ impl Formula {
     /// Panics if a free variable is unbound or a relation is missing from
     /// `b`'s signature (callers validate against a signature first).
     pub fn satisfied_by(&self, b: &Structure, env: &HashMap<Var, u32>) -> bool {
+        let free: Vec<Var> = env.keys().cloned().collect();
+        let bound = self.bind(b.signature(), &free);
+        let mut slots = vec![0; bound.slots];
+        for (slot, v) in slots.iter_mut().zip(&free) {
+            *slot = env[v];
+        }
+        bound.holds(b, &mut slots)
+    }
+
+    /// Resolves the formula's names once: `free[i]` reads environment
+    /// slot `i`, each `∃` writes a slot of its own after those, and each
+    /// relation name becomes its [`RelId`] in `signature`.
+    ///
+    /// # Panics
+    /// Panics if an atom mentions a variable that is neither in `free`
+    /// nor quantified above it, or a relation missing from `signature`.
+    pub fn bind(&self, signature: &Signature, free: &[Var]) -> BoundFormula {
+        let mut scope: Vec<(&Var, usize)> = free.iter().zip(0..).collect();
+        let mut slots = free.len();
+        let root = self.bind_node(signature, &mut scope, &mut slots);
+        BoundFormula { root, slots }
+    }
+
+    fn bind_node<'a>(
+        &'a self,
+        signature: &Signature,
+        scope: &mut Vec<(&'a Var, usize)>,
+        slots: &mut usize,
+    ) -> Bound {
         match self {
-            Formula::Top => true,
+            Formula::Top => Bound::Top,
             Formula::Atom(a) => {
-                let rel = b
-                    .signature()
+                let rel = signature
                     .lookup(&a.relation)
                     .unwrap_or_else(|| panic!("unknown relation {:?}", a.relation));
-                let tuple: Vec<u32> = a
+                let args = a
                     .args
                     .iter()
-                    .map(|v| *env.get(v).unwrap_or_else(|| panic!("unbound variable {v}")))
+                    .map(|v| match scope.iter().rev().find(|(w, _)| *w == v) {
+                        Some(&(_, slot)) => slot,
+                        None => panic!("unbound variable {v}"),
+                    })
                     .collect();
-                b.has_tuple(rel, &tuple)
+                Bound::Atom(rel, args)
             }
-            Formula::And(l, r) => l.satisfied_by(b, env) && r.satisfied_by(b, env),
-            Formula::Or(l, r) => l.satisfied_by(b, env) || r.satisfied_by(b, env),
+            Formula::And(l, r) => Bound::And(
+                Box::new(l.bind_node(signature, scope, slots)),
+                Box::new(r.bind_node(signature, scope, slots)),
+            ),
+            Formula::Or(l, r) => Bound::Or(
+                Box::new(l.bind_node(signature, scope, slots)),
+                Box::new(r.bind_node(signature, scope, slots)),
+            ),
             Formula::Exists(v, f) => {
-                let mut env = env.clone();
-                (0..b.universe_size() as u32).any(|e| {
-                    env.insert(v.clone(), e);
-                    f.satisfied_by(b, &env)
-                })
+                let slot = *slots;
+                *slots += 1;
+                scope.push((v, slot));
+                let body = f.bind_node(signature, scope, slots);
+                scope.pop();
+                Bound::Exists(slot, Box::new(body))
             }
         }
     }
@@ -273,6 +312,67 @@ impl Formula {
                     Formula::Exists(v.clone(), Box::new(f.rename_free(from, to)))
                 }
             }
+        }
+    }
+}
+
+/// A [`Formula`] with its names resolved by [`Formula::bind`]: variables
+/// are environment slots and relations are [`RelId`]s.
+#[derive(Clone, Debug)]
+pub struct BoundFormula {
+    root: Bound,
+    slots: usize,
+}
+
+#[derive(Clone, Debug)]
+enum Bound {
+    Top,
+    Atom(RelId, Vec<usize>),
+    And(Box<Bound>, Box<Bound>),
+    Or(Box<Bound>, Box<Bound>),
+    Exists(usize, Box<Bound>),
+}
+
+impl BoundFormula {
+    /// The environment length [`BoundFormula::holds`] needs: the free
+    /// variables' slots, then one per `∃`.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Whether `B, env ⊨ φ`, by direct recursion over ∧, ∨ and ∃: the
+    /// free variables' values are in the leading slots of `env`, and each
+    /// `∃` tries every element of the universe in its own slot.
+    ///
+    /// # Panics
+    /// Panics if `env` is shorter than [`BoundFormula::slots`].
+    pub fn holds(&self, b: &Structure, env: &mut [u32]) -> bool {
+        self.root.holds(b, env)
+    }
+}
+
+impl Bound {
+    fn holds(&self, b: &Structure, env: &mut [u32]) -> bool {
+        match self {
+            Bound::Top => true,
+            Bound::Atom(rel, args) => {
+                let mut buf = [0u32; 8];
+                if args.len() <= buf.len() {
+                    for (dst, &slot) in buf.iter_mut().zip(args) {
+                        *dst = env[slot];
+                    }
+                    b.has_tuple(*rel, &buf[..args.len()])
+                } else {
+                    let tuple: Vec<u32> = args.iter().map(|&slot| env[slot]).collect();
+                    b.has_tuple(*rel, &tuple)
+                }
+            }
+            Bound::And(l, r) => l.holds(b, env) && r.holds(b, env),
+            Bound::Or(l, r) => l.holds(b, env) || r.holds(b, env),
+            Bound::Exists(slot, f) => (0..b.universe_size() as u32).any(|e| {
+                env[*slot] = e;
+                f.holds(b, env)
+            }),
         }
     }
 }

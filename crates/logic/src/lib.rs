@@ -38,6 +38,6 @@ pub mod parser;
 pub mod pp;
 pub mod query;
 
-pub use formula::{Atom, Formula, Var};
+pub use formula::{Atom, BoundFormula, Formula, Var};
 pub use pp::PpFormula;
 pub use query::Query;

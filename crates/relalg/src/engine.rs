@@ -2,16 +2,18 @@
 
 use crate::relation::Relation;
 use epq_bigint::Natural;
-use epq_logic::PpFormula;
+use epq_graph::{treewidth, Graph};
+use epq_logic::{PpFormula, Var};
 use epq_structures::{RelId, Structure};
 use std::collections::HashMap;
 
-/// A record of the join order chosen for a formula, built only by
-/// [`explain_pp`] (`epq explain`); counting formats no plan.
+/// The steps of a formula's evaluation, built only by [`explain_pp`]
+/// (`epq explain`); counting formats no plan.
 #[derive(Clone, Debug, Default)]
 pub struct JoinPlan {
-    /// One line per step, e.g. `scan E[1, 2] -> 3 rows`,
-    /// `join E[2, 3] -> 12 rows`.
+    /// One line per step, e.g. `scan E(x, u) -> 3 rows`,
+    /// `eliminate u: join -> 12 rows, project -> 4 rows`,
+    /// `join (x) -> 4 rows`, `count -> 4`.
     pub steps: Vec<String>,
 }
 
@@ -149,69 +151,153 @@ impl ScanCache {
     }
 }
 
-/// Joins all atoms of `pp` against `b` greedily (smallest relation first,
-/// preferring scans that share a column with what has been joined so far),
-/// pulling each atom's scan from `scan` (a direct [`scan_atom`] or a
-/// [`ScanCache`]). Records the steps taken in `plan` when one is given;
-/// counting passes `None` and formats nothing.
+/// Projects the natural join of `relations` onto `keep` by variable
+/// elimination. This is the one ∃-projection of the workspace: relalg's
+/// counts and answer sets, and the fpt engine's boundary constraints and
+/// sentence checks, all come from it.
 ///
-/// Each join's outer (probe) relation is partitioned across up to
-/// `threads` pool workers; the greedy join *order* is chosen before any
-/// join runs, so the plan — and, via the sort+dedup normalization in
-/// [`Relation::new`], the result — is identical at every thread count.
-fn join_all_via(
-    pp: &PpFormula,
-    b: &Structure,
+/// Each column outside `keep` is removed in turn: the relations that
+/// mention it (its *bucket*) are joined, the column is projected away,
+/// and the projection replaces the bucket, whose inputs are dropped at
+/// once. `on_step(column, joined rows, projected rows)` sees each step.
+/// What is left is joined and projected onto `keep`, in `keep`'s order.
+///
+/// The order comes from a tree decomposition of the relations' primal
+/// graph with `keep` made a clique, never from relation sizes: bags are
+/// visited deepest first from a root bag that holds `keep`, and a column
+/// is removed at the highest bag that holds it. Each bucket's columns
+/// then lie in that bag, so with a decomposition of width `w` no
+/// intermediate has more than `|B|^(w+1)` rows. Only the join order
+/// inside one bucket, and of what is left, looks at sizes (smallest
+/// first); it cannot break that bound.
+///
+/// An empty intermediate ends the run with the empty relation over
+/// `keep`. With `keep` empty the result is [`Relation::unit`] or
+/// [`Relation::empty`]: a satisfiability verdict. Joins run on up to
+/// `threads` pool workers, and the result is identical at every thread
+/// count.
+///
+/// # Panics
+/// Panics if a column of `keep` is in no relation.
+pub fn eliminate(
+    relations: Vec<Relation>,
+    keep: &[u32],
     threads: usize,
-    scan: &mut dyn FnMut(&Structure, RelId, &[u32]) -> Relation,
-    mut plan: Option<&mut JoinPlan>,
+    on_step: &mut dyn FnMut(u32, usize, usize),
 ) -> Relation {
-    let mut scans: Vec<(&str, &[u32], Relation)> = Vec::new();
-    for (rel, name, _) in pp.signature().iter() {
-        for t in pp.structure().relation(rel).tuples() {
-            let r = scan(b, rel, t);
-            if let Some(plan) = plan.as_deref_mut() {
-                plan.steps
-                    .push(format!("scan {name}{t:?} -> {} rows", r.len()));
-            }
-            scans.push((name, t, r));
-        }
-    }
-    if scans.is_empty() {
-        return Relation::unit();
-    }
-    scans.sort_by_key(|(_, _, r)| r.len());
-    let mut acc = scans.remove(0).2;
-    while !scans.is_empty() {
-        // Prefer a scan sharing a column with the accumulator.
-        let idx = scans
+    let order = elimination_order(&relations, keep);
+    let mut pool = relations;
+    for column in order {
+        let (bucket, rest) = pool
+            .into_iter()
+            .partition(|r: &Relation| r.schema().contains(&column));
+        pool = rest;
+        let joined = join_connected(bucket, threads);
+        let columns: Vec<u32> = joined
+            .schema()
             .iter()
-            .position(|(_, _, r)| r.schema().iter().any(|c| acc.schema().contains(c)))
+            .copied()
+            .filter(|&c| c != column)
+            .collect();
+        let projected = joined.project(&columns);
+        on_step(column, joined.len(), projected.len());
+        if projected.is_empty() {
+            return Relation::new(keep.to_vec(), Vec::new());
+        }
+        pool.push(projected);
+    }
+    let joined = join_connected(pool, threads);
+    if joined.is_empty() {
+        Relation::new(keep.to_vec(), Vec::new())
+    } else if joined.schema() == keep {
+        joined
+    } else {
+        joined.project(keep)
+    }
+}
+
+/// Joins `relations` smallest first, taking next the smallest one that
+/// shares a column with the join so far (or else the smallest left), and
+/// stops at an empty join.
+fn join_connected(mut relations: Vec<Relation>, threads: usize) -> Relation {
+    relations.sort_by_key(Relation::len);
+    let mut acc = match relations.is_empty() {
+        true => Relation::unit(),
+        false => relations.remove(0),
+    };
+    while !relations.is_empty() && !acc.is_empty() {
+        let next = relations
+            .iter()
+            .position(|r| r.schema().iter().any(|c| acc.schema().contains(c)))
             .unwrap_or(0);
-        let (name, t, r) = scans.remove(idx);
-        acc = acc.join(&r, threads);
-        if let Some(plan) = plan.as_deref_mut() {
-            plan.steps
-                .push(format!("join {name}{t:?} -> {} rows", acc.len()));
-        }
-        if acc.is_empty() {
-            break;
-        }
+        acc = acc.join(&relations.remove(next), threads);
     }
     acc
 }
 
+/// The columns outside `keep`, in the order [`eliminate`] removes them.
+fn elimination_order(relations: &[Relation], keep: &[u32]) -> Vec<u32> {
+    let mut columns: Vec<u32> = relations.iter().flat_map(|r| r.schema().to_vec()).collect();
+    columns.sort_unstable();
+    columns.dedup();
+    let local = |c: &u32| match columns.binary_search(c) {
+        Ok(v) => v as u32,
+        Err(_) => panic!("kept column {c} is in no relation"),
+    };
+    let keep: Vec<u32> = keep.iter().map(local).collect();
+    if keep.len() == columns.len() {
+        return Vec::new();
+    }
+    let mut primal = Graph::new(columns.len());
+    let scopes = relations
+        .iter()
+        .map(|r| r.schema().iter().map(local).collect());
+    for scope in scopes.chain([keep.clone()]) {
+        let scope: Vec<u32> = scope;
+        for (i, &a) in scope.iter().enumerate() {
+            for &b in &scope[i + 1..] {
+                primal.add_edge(a, b);
+            }
+        }
+    }
+    // Breadth first from a bag that holds `keep`: a column's first bag is
+    // the highest that holds it, and deeper bags come later.
+    let td = treewidth::best_decomposition(&primal);
+    let bags = td.bags();
+    let root = bags
+        .iter()
+        .position(|bag| keep.iter().all(|v| bag.contains(v)));
+    let mut visit = vec![root.expect("a clique lies in one bag")];
+    let mut next = 0;
+    while let Some(&bag) = visit.get(next) {
+        for &(a, b) in td.edges() {
+            for (from, to) in [(a, b), (b, a)] {
+                if from == bag && !visit.contains(&to) {
+                    visit.push(to);
+                }
+            }
+        }
+        next += 1;
+    }
+    let top = |v: &u32| visit.iter().position(|&bag| bags[bag].contains(v));
+    let mut order: Vec<u32> = (0..columns.len() as u32)
+        .filter(|v| !keep.contains(v))
+        .collect();
+    order.sort_by_key(|v| std::cmp::Reverse(top(v)));
+    order.into_iter().map(|v| columns[v as usize]).collect()
+}
+
 /// Counts `|φ(B)|` for a pp-formula by relational algebra, component by
-/// component: `|φ(B)| = Π_i |φᵢ(B)|` (Section 2.1 of the paper), where a
-/// liberal-free component contributes 1/0 by satisfiability, an isolated
-/// liberal variable contributes |B|, and every other component contributes
-/// its number of distinct projected join rows.
+/// component: `|φ(B)| = Π_i |φᵢ(B)|` (Section 2.1 of the paper), where an
+/// isolated liberal variable contributes |B|, an isolated quantified one
+/// 1 or 0, and every other component the rows of its [`eliminate`]
+/// projection onto its liberal slots (1 or 0 for a sentence).
 ///
 /// Every join's outer relation is work-sharded across up to `threads`
 /// pool workers (see [`Relation::join`]); counts are bit-identical at
 /// every thread count.
 pub fn count_pp(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
-    count_pp_via(pp, b, threads, &mut scan_atom)
+    count_pp_via(pp, b, threads, &mut scan_atom, None)
 }
 
 /// [`count_pp`] with atom scans served from (and inserted into)
@@ -219,7 +305,7 @@ pub fn count_pp(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
 /// relations change, re-evaluating a formula rescans only atoms over
 /// the relations the caller [`ScanCache::invalidate`]d, and reuses
 /// every other scan. Counts are bit-identical to [`count_pp`] —
-/// identical scans feed the identical greedy plan —
+/// identical scans feed the identical elimination —
 /// provided the cache is coherent with `b` (see [`ScanCache`]).
 pub fn count_pp_cached(
     pp: &PpFormula,
@@ -227,7 +313,13 @@ pub fn count_pp_cached(
     cache: &mut ScanCache,
     threads: usize,
 ) -> Natural {
-    count_pp_via(pp, b, threads, &mut |b, rel, atom| cache.scan(b, rel, atom))
+    count_pp_via(
+        pp,
+        b,
+        threads,
+        &mut |b, rel, atom| cache.scan(b, rel, atom),
+        None,
+    )
 }
 
 fn count_pp_via(
@@ -235,44 +327,71 @@ fn count_pp_via(
     b: &Structure,
     threads: usize,
     scan: &mut dyn FnMut(&Structure, RelId, &[u32]) -> Relation,
+    mut plan: Option<&mut JoinPlan>,
 ) -> Natural {
     let mut total = Natural::one();
     for component in pp.components() {
-        let n = component.structure().universe_size();
-        let has_atoms = component.structure().tuple_count() > 0;
-        let liberal = component.liberal_count();
-        let factor = if !has_atoms {
-            // Singleton component (Gaifman-isolated vertex).
-            debug_assert_eq!(n, 1);
-            if liberal == 1 {
-                Natural::from(b.universe_size())
-            } else {
-                // ∃u.⊤ — needs a nonempty universe.
-                if b.universe_size() > 0 {
-                    Natural::one()
-                } else {
-                    Natural::zero()
-                }
-            }
-        } else {
-            let joined = join_all_via(&component, b, threads, scan, None);
-            if joined.is_empty() {
-                // An early-terminated empty join may have a partial
-                // schema; the count is zero either way.
-                Natural::zero()
-            } else if liberal == 0 {
-                Natural::one()
-            } else {
-                let slots: Vec<u32> = (0..liberal as u32).collect();
-                Natural::from(joined.project(&slots).len())
-            }
+        let factor = match component.structure().tuple_count() {
+            // A Gaifman-isolated variable: |B| values, or for ∃u.⊤
+            // whether the universe is nonempty.
+            0 if component.liberal_count() == 1 => b.universe_size(),
+            0 => b.universe_size().min(1),
+            _ => component_answers(&component, b, threads, scan, plan.as_deref_mut()).len(),
         };
-        if factor.is_zero() {
+        if factor == 0 {
             return Natural::zero();
         }
-        total = total * factor;
+        total = total * Natural::from(factor);
     }
     total
+}
+
+/// The answers of one component that has atoms, over its liberal slots
+/// `0..liberal_count`: one scan per atom, pulled from `scan` (a direct
+/// [`scan_atom`] or a [`ScanCache`]), then [`eliminate`] of every
+/// quantified element. Records the scans and steps in `plan` when one
+/// is given.
+fn component_answers(
+    component: &PpFormula,
+    b: &Structure,
+    threads: usize,
+    scan: &mut dyn FnMut(&Structure, RelId, &[u32]) -> Relation,
+    mut plan: Option<&mut JoinPlan>,
+) -> Relation {
+    let names = |elements: &[u32]| {
+        let names: Vec<String> = elements
+            .iter()
+            .map(|&e| component.name(e).to_string())
+            .collect();
+        names.join(", ")
+    };
+    let mut scans = Vec::new();
+    for (rel, name, _) in component.signature().iter() {
+        for atom in component.structure().relation(rel).tuples() {
+            let r = scan(b, rel, atom);
+            if let Some(plan) = plan.as_deref_mut() {
+                let rows = r.len();
+                plan.steps
+                    .push(format!("scan {name}({}) -> {rows} rows", names(atom)));
+            }
+            scans.push(r);
+        }
+    }
+    let keep: Vec<u32> = component.liberal_indices().collect();
+    let answers = eliminate(scans, &keep, threads, &mut |column, joined, projected| {
+        if let Some(plan) = plan.as_deref_mut() {
+            let name = component.name(column);
+            plan.steps.push(format!(
+                "eliminate {name}: join -> {joined} rows, project -> {projected} rows"
+            ));
+        }
+    });
+    if let Some(plan) = plan {
+        let rows = answers.len();
+        plan.steps
+            .push(format!("join ({}) -> {rows} rows", names(&keep)));
+    }
+    answers
 }
 
 /// Materializes the full answer set `φ(B)` of a pp-formula as a relation
@@ -281,52 +400,30 @@ fn count_pp_via(
 /// pays the |B|^k price that pure counting avoids). Joins run on up to
 /// `threads` pool workers (bit-identical results; see [`count_pp`]).
 pub fn answers_pp(pp: &PpFormula, b: &Structure, threads: usize) -> Relation {
+    let slot_of = |name: &Var| pp.liberal_names().iter().position(|v| v == name).unwrap() as u32;
+    let none = || Relation::new(pp.liberal_indices().collect(), Vec::new());
     let mut acc = Relation::unit();
     for component in pp.components() {
-        let has_atoms = component.structure().tuple_count() > 0;
-        let liberal = component.liberal_count();
-        if !has_atoms {
-            if liberal == 1 {
-                // Which liberal slot of the parent is this? Map by name.
-                let name = component.name(0);
-                let slot = pp
-                    .liberal_names()
-                    .iter()
-                    .position(|v| v == name)
-                    .expect("component liberal var is a parent liberal var")
-                    as u32;
-                acc = acc.extend_with_domain(slot, b.universe_size());
+        if component.structure().tuple_count() == 0 {
+            if component.liberal_count() == 1 {
+                acc = acc.extend_with_domain(slot_of(component.name(0)), b.universe_size());
             } else if b.universe_size() == 0 {
-                return Relation::new((0..pp.liberal_count() as u32).collect(), Vec::new());
+                return none();
             }
             continue;
         }
-        let joined = join_all_via(&component, b, threads, &mut scan_atom, None);
-        if joined.is_empty() {
-            // Empty join (possibly early-terminated with a partial
-            // schema): the whole answer set is empty.
-            return Relation::new((0..pp.liberal_count() as u32).collect(), Vec::new());
+        let answers = component_answers(&component, b, threads, &mut scan_atom, None);
+        if answers.is_empty() {
+            return none();
         }
-        if liberal == 0 {
+        if component.liberal_count() == 0 {
             continue;
         }
-        // Project onto this component's liberal slots, remapped to the
-        // parent's slot numbering by variable name.
-        let local_slots: Vec<u32> = (0..liberal as u32).collect();
-        let projected = joined.project(&local_slots);
-        let parent_slots: Vec<u32> = local_slots
-            .iter()
-            .map(|&i| {
-                let name = component.name(i);
-                pp.liberal_names().iter().position(|v| v == name).unwrap() as u32
-            })
-            .collect();
-        let renamed = projected.renamed(parent_slots);
-        acc = acc.join(&renamed, threads);
+        // Rename this component's liberal slots to the parent's by name.
+        let parent_slots = component.liberal_names().iter().map(slot_of).collect();
+        acc = acc.join(&answers.renamed(parent_slots), threads);
     }
-    // Ensure the full liberal schema (in order).
-    let full: Vec<u32> = (0..pp.liberal_count() as u32).collect();
-    acc.project(&full)
+    acc.project(&pp.liberal_indices().collect::<Vec<_>>())
 }
 
 /// Counts `|φ(B)|` for a UCQ given as disjuncts over a shared liberal
@@ -349,10 +446,13 @@ pub fn count_ucq(disjuncts: &[PpFormula], b: &Structure, threads: usize) -> Natu
     }
 }
 
-/// Produces the join plan for a pp-formula (for reports).
+/// The steps `epq explain` shows for a pp-formula: per component, the
+/// atom scans, each elimination step and the answer rows, exactly as
+/// [`count_pp`] runs them, then the count.
 pub fn explain_pp(pp: &PpFormula, b: &Structure) -> JoinPlan {
     let mut plan = JoinPlan::default();
-    join_all_via(pp, b, 1, &mut scan_atom, Some(&mut plan));
+    let count = count_pp_via(pp, b, 1, &mut scan_atom, Some(&mut plan));
+    plan.steps.push(format!("count -> {count}"));
     plan
 }
 
@@ -575,6 +675,24 @@ mod tests {
             assert_eq!(count_pp_cached(&pp, &b, &mut cache, threads), expected);
             assert_eq!(count_pp_cached(&pp, &b, &mut cache, threads), expected);
         }
+    }
+
+    #[test]
+    fn explain_lists_each_elimination_step() {
+        // (x) := ∃u . E(x,u) & E(u,u) on C: only 3 has a loop, so u's
+        // bucket keeps the edges into 3, (2, 3) and (3, 3).
+        let pp = pp_of("(x) := exists u . E(x,u) & E(u,u)");
+        let plan = explain_pp(&pp, &example_c());
+        assert_eq!(
+            plan.steps,
+            [
+                "scan E(x, u) -> 4 rows",
+                "scan E(u, u) -> 1 rows",
+                "eliminate u: join -> 2 rows, project -> 2 rows",
+                "join (x) -> 2 rows",
+                "count -> 2",
+            ]
+        );
     }
 
     #[test]

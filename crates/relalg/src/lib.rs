@@ -6,14 +6,18 @@
 //! queries of relational algebra (the paper's introduction cites them as
 //! "the most common database queries"). This crate evaluates pp-formulas
 //! and UCQs the way a small database engine would: scan atoms into
-//! variable-schema relations, hash-join them (greedy smallest-first join
-//! order), project onto the liberal variables, and union disjunct answer
-//! sets with set semantics.
+//! variable-schema relations, eliminate each quantified variable in turn
+//! (hash-join the relations that mention it, project it away; the order
+//! comes from a tree decomposition, see [`engine::eliminate`]), join what
+//! is left over the liberal variables, and union disjunct answer sets
+//! with set semantics. The fpt engine of `epq-counting` derives its
+//! ∃-component constraints with the same [`engine::eliminate`].
 //!
 //! It serves two roles in the reproduction:
 //!
-//! * an **independent counting oracle** — tests cross-check it against the
-//!   brute-force and tree-decomposition counters of `epq-counting`;
+//! * a **second counting engine** — tests cross-check it against the
+//!   brute-force counter of `epq-counting`, the reference that shares no
+//!   code with it (the fpt engine shares its eliminator);
 //! * the **baseline engine** of experiment F1, the thing the paper's
 //!   FPT algorithms are an asymptotic improvement over (materialization
 //!   is output-sensitive and can be exponential).

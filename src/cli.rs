@@ -424,12 +424,14 @@ mod tests {
         let out = run_ok(&[
             "explain",
             "--query",
-            "E(x,y) & E(y,z)",
+            "(x,y) := exists u . E(x,u) & E(u,y)",
             "--data-inline",
             DATA,
         ]);
-        assert!(out.contains("scan"));
-        assert!(out.contains("join"));
+        assert!(out.contains("scan E(x, u) -> 4 rows"));
+        assert!(out.contains("eliminate u: join -> 4 rows, project -> 4 rows"));
+        assert!(out.contains("join (x, y) -> 4 rows"));
+        assert!(out.contains("count -> 4"));
     }
 
     #[test]

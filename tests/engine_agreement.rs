@@ -21,7 +21,7 @@ use epq_logic::dnf;
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn check_all_paths(query: &Query, b: &Structure) {
     let sig = b.signature().clone();
@@ -72,10 +72,10 @@ fn check_all_paths(query: &Query, b: &Structure) {
 
 /// Every engine at 1, 2 and 4 worker threads must reproduce the first
 /// engine's 1-thread count, on fixed seeded inputs large enough to
-/// reach each sharding site: fpt's boundary sweep, `FlatTable::sharded`
-/// above `PAR_NODE_THRESHOLD`, and relalg's sharded probe side
-/// (`qpath3` at n = 48), and brute force's sharded assignment sweep
-/// (the quantifier-free `path2` at n = 16 and 24).
+/// reach each sharding site: `FlatTable::sharded` above
+/// `PAR_NODE_THRESHOLD` and the sharded probe side of the joins fpt and
+/// relalg run (`qpath3` at n = 48), and brute force's sharded assignment
+/// sweep (the quantifier-free `path2` at n = 16 and 24).
 #[test]
 fn every_engine_agrees_at_every_thread_count_on_seeded_digraphs() {
     let inputs = [
@@ -98,6 +98,70 @@ fn every_engine_agrees_at_every_thread_count_on_seeded_digraphs() {
                     "{} at {threads} threads on {query} (n = {n})",
                     engine.name()
                 );
+            }
+        }
+    }
+}
+
+/// A seeded digraph on `n` vertices with exactly `edges` distinct edges
+/// (loops allowed).
+fn digraph_with_edges(seed: u64, n: usize, edges: usize) -> Structure {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = Structure::new(data::digraph_signature(), n);
+    while b.tuple_count() < edges {
+        let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+        b.add_tuple_named("E", &[u, v]);
+    }
+    b
+}
+
+/// The pairs `(x, y)` joined by a walk of exactly `k` edges, counted from
+/// the `k`-th Boolean power of the adjacency matrix (one `u128` bit row
+/// per vertex). Shares no code with any engine.
+fn walk_pairs(b: &Structure, k: usize) -> u64 {
+    let n = b.universe_size();
+    assert!(n <= 128, "one u128 row per vertex");
+    let e = b.signature().lookup("E").unwrap();
+    let mut adjacency = vec![0u128; n];
+    for t in b.relation(e).tuples() {
+        adjacency[t[0] as usize] |= 1 << t[1];
+    }
+    let mut power = adjacency.clone();
+    for _ in 1..k {
+        power = power
+            .iter()
+            .map(|&row| {
+                (0..n)
+                    .filter(|&j| row >> j & 1 == 1)
+                    .fold(0, |acc, j| acc | adjacency[j])
+            })
+            .collect();
+    }
+    power.iter().map(|row| u64::from(row.count_ones())).sum()
+}
+
+/// ∃-paths `Q_k(x, y)` for k = 3, 5 and 7 against adjacency-matrix
+/// powers: on n = 128 with 1536 edges, `fpt` and `relalg` at 1, 2 and 4
+/// threads; on n = 8 with 16 edges, brute force too. The large rows are
+/// the ones where projecting only after the whole join did not finish.
+#[test]
+fn exists_paths_match_adjacency_matrix_powers() {
+    for k in [3usize, 5, 7] {
+        let query = queries::quantified_path_query(k);
+        let sig = infer_signature([query.formula()]).unwrap();
+        let pp = PpFormula::from_query(&query, &sig).unwrap();
+        for (n, edges, seed) in [(8, 16, 5), (128, 1536, 7)] {
+            let b = digraph_with_edges(seed, n, edges);
+            let expected = Natural::from(walk_pairs(&b, k));
+            if n <= 8 {
+                assert_eq!(brute::count_pp_brute(&pp, &b), expected, "brute, k = {k}");
+            }
+            for threads in [1usize, 2, 4] {
+                let at = format!("k = {k}, n = {n}, {threads} threads");
+                let fpt = epq_counting::fpt::count_pp_fpt(&pp, &b, threads);
+                assert_eq!(fpt, expected, "fpt, {at}");
+                let relalg = epq::relalg::count_pp(&pp, &b, threads);
+                assert_eq!(relalg, expected, "relalg, {at}");
             }
         }
     }
