@@ -23,41 +23,31 @@ pub struct JoinPlan {
 /// This is the one atom scan of the workspace: the relational-algebra
 /// joins and the CSP constraints of `epq-counting` both build on it.
 pub fn scan_atom(b: &Structure, rel: RelId, atom: &[u32]) -> Relation {
-    // Distinct columns in order of first occurrence.
-    let mut schema: Vec<u32> = Vec::new();
-    for &e in atom {
-        if !schema.contains(&e) {
-            schema.push(e);
-        }
-    }
-    let positions: Vec<usize> = schema
+    // Each position's first occurrence of its element; the distinct
+    // columns are the positions that are their own first occurrence.
+    let first: Vec<usize> = atom
         .iter()
-        .map(|c| atom.iter().position(|e| e == c).unwrap())
+        .map(|e| atom.iter().position(|x| x == e).unwrap())
         .collect();
+    let positions: Vec<usize> = (0..atom.len()).filter(|&i| first[i] == i).collect();
+    let tuples = b.relation(rel);
+    if positions.is_empty() {
+        // A nullary atom is a presence test.
+        return if tuples.is_empty() {
+            Relation::empty()
+        } else {
+            Relation::unit()
+        };
+    }
     // Matching tuples stream straight into the relation's flat arena —
     // no per-row Vec.
     let mut data: Vec<u32> = Vec::new();
-    let mut matched = false;
-    'tuple: for t in b.relation(rel).tuples() {
-        // Check the repeated-element pattern.
-        for (i, &e) in atom.iter().enumerate() {
-            let first = atom.iter().position(|x| *x == e).unwrap();
-            if t[i] != t[first] {
-                continue 'tuple;
-            }
+    for t in tuples.tuples() {
+        if first.iter().enumerate().all(|(i, &f)| t[i] == t[f]) {
+            data.extend(positions.iter().map(|&i| t[i]));
         }
-        data.extend(positions.iter().map(|&i| t[i]));
-        matched = true;
     }
-    if schema.is_empty() {
-        // A nullary atom is a presence test.
-        return if matched {
-            Relation::unit()
-        } else {
-            Relation::empty()
-        };
-    }
-    Relation::from_flat(schema, data)
+    Relation::from_flat(positions.iter().map(|&i| atom[i]).collect(), data)
 }
 
 /// A cache of atom-scan intermediates over **one** structure, the
@@ -192,21 +182,14 @@ pub fn eliminate(
             .into_iter()
             .partition(|r: &Relation| r.schema().contains(&column));
         pool = rest;
-        let joined = join_connected(bucket, threads);
-        let columns: Vec<u32> = joined
-            .schema()
-            .iter()
-            .copied()
-            .filter(|&c| c != column)
-            .collect();
-        let projected = joined.project(&columns);
-        on_step(column, joined.len(), projected.len());
+        let (projected, joined) = join_connected(bucket, Some(column), threads);
+        on_step(column, joined, projected.len());
         if projected.is_empty() {
             return Relation::new(keep.to_vec(), Vec::new());
         }
         pool.push(projected);
     }
-    let joined = join_connected(pool, threads);
+    let (joined, _) = join_connected(pool, None, threads);
     if joined.is_empty() {
         Relation::new(keep.to_vec(), Vec::new())
     } else if joined.schema() == keep {
@@ -218,19 +201,24 @@ pub fn eliminate(
 
 /// Joins `relations` smallest first, taking next the smallest one that
 /// shares a column with the join so far (or else the smallest left), and
-/// stops at an empty join.
-fn join_connected(mut relations: Vec<Relation>, threads: usize) -> Relation {
+/// stops at an empty join. The last join projects `drop` away in the
+/// same pass ([`Relation::join_dropping`]) and also returns the row
+/// count of the join before that projection.
+fn join_connected(
+    mut relations: Vec<Relation>,
+    drop: Option<u32>,
+    threads: usize,
+) -> (Relation, usize) {
     relations.sort_by_key(Relation::len);
-    let mut acc = match relations.is_empty() {
-        true => Relation::unit(),
-        false => relations.remove(0),
-    };
-    while !relations.is_empty() && !acc.is_empty() {
+    let mut acc = (Relation::unit(), 1);
+    while !relations.is_empty() && !acc.0.is_empty() {
         let next = relations
             .iter()
-            .position(|r| r.schema().iter().any(|c| acc.schema().contains(c)))
+            .position(|r| r.schema().iter().any(|c| acc.0.schema().contains(c)))
             .unwrap_or(0);
-        acc = acc.join(&relations.remove(next), threads);
+        let other = relations.remove(next);
+        let last = relations.is_empty();
+        acc = acc.0.join_dropping(&other, drop.filter(|_| last), threads);
     }
     acc
 }

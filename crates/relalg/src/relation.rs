@@ -189,6 +189,19 @@ impl Relation {
     /// result set funnels through the same sort+dedup normalization, so
     /// the output is **bit-identical** at every thread count.
     pub fn join(&self, other: &Relation, threads: usize) -> Relation {
+        self.join_dropping(other, None, threads).0
+    }
+
+    /// [`Relation::join`] with column `drop` (when given) projected away
+    /// in the same pass: the full-width join is never materialized, and
+    /// one sort+dedup normalizes the result. Also returns the row count
+    /// of the full join.
+    pub fn join_dropping(
+        &self,
+        other: &Relation,
+        drop: Option<u32>,
+        threads: usize,
+    ) -> (Relation, usize) {
         let (build, probe) = if self.len() <= other.len() {
             (self, other)
         } else {
@@ -213,20 +226,30 @@ impl Relation {
             }
         }
         let shared: HashSet<u32> = build_key.iter().map(|&i| build.schema[i]).collect();
-        let probe_extra: Vec<usize> = (0..probe.schema.len())
-            .filter(|&i| !shared.contains(&probe.schema[i]))
+        let kept = |schema: &[u32], i: &usize| Some(schema[*i]) != drop;
+        let build_out: Vec<usize> = (0..build.schema.len())
+            .filter(|i| kept(&build.schema, i))
             .collect();
-        // Output schema: build's columns then probe's non-shared columns.
-        let mut schema = build.schema.clone();
+        let probe_extra: Vec<usize> = (0..probe.schema.len())
+            .filter(|&i| !shared.contains(&probe.schema[i]) && kept(&probe.schema, &i))
+            .collect();
+        // Output schema: build's kept columns then probe's non-shared ones.
+        let mut schema: Vec<u32> = build_out.iter().map(|&i| build.schema[i]).collect();
         schema.extend(probe_extra.iter().map(|&i| probe.schema[i]));
 
         if schema.is_empty() {
-            // Nullary ⋈ nullary: unit is the identity, empty annihilates.
-            return if build.len > 0 && probe.len > 0 {
+            // A flat buffer cannot count rows of width 0: join in full
+            // (nullary ⋈ nullary is unit only when both sides are).
+            let rows = match drop {
+                Some(_) => self.join(other, threads).len(),
+                None => build.len.min(probe.len),
+            };
+            let joined = if rows > 0 {
                 Relation::unit()
             } else {
                 Relation::empty()
             };
+            return (joined, rows);
         }
 
         // The key columns pack into a fixed-width integer for up to four
@@ -234,44 +257,17 @@ impl Relation {
         // are intersections of atom schemas); wider keys fall back to a
         // boxed slice. Either way, no allocation per probe row on the
         // packed paths.
+        let b = (build, &build_key[..], &build_out[..]);
+        let p = (probe, &probe_key[..], &probe_extra[..]);
         let data = match build_key.len() {
-            0..=2 => hash_join(
-                build,
-                probe,
-                &build_key,
-                &probe_key,
-                &probe_extra,
-                threads,
-                |row: &[u32], cols: &[usize]| -> u64 {
-                    cols.iter()
-                        .fold(0u64, |acc, &c| (acc << 32) | u64::from(row[c]))
-                },
-            ),
-            3..=4 => hash_join(
-                build,
-                probe,
-                &build_key,
-                &probe_key,
-                &probe_extra,
-                threads,
-                |row: &[u32], cols: &[usize]| -> u128 {
-                    cols.iter()
-                        .fold(0u128, |acc, &c| (acc << 32) | u128::from(row[c]))
-                },
-            ),
-            _ => hash_join(
-                build,
-                probe,
-                &build_key,
-                &probe_key,
-                &probe_extra,
-                threads,
-                |row: &[u32], cols: &[usize]| -> Box<[u32]> {
-                    cols.iter().map(|&c| row[c]).collect()
-                },
-            ),
+            0..=2 => hash_join(b, p, threads, pack::<u64>),
+            3..=4 => hash_join(b, p, threads, pack::<u128>),
+            _ => hash_join(b, p, threads, |row, cols| -> Box<[u32]> {
+                cols.iter().map(|&c| row[c]).collect()
+            }),
         };
-        Relation::from_flat(schema, data)
+        let rows = data.len() / schema.len();
+        (Relation::from_flat(schema, data), rows)
     }
 
     /// Projection onto `columns` (with deduplication).
@@ -553,23 +549,31 @@ impl std::hash::Hasher for MixHasher {
 
 type MixBuild = std::hash::BuildHasherDefault<MixHasher>;
 
-/// The shared hash-join core, monomorphized over the packed key type:
-/// builds a key → build-row-indices table from the smaller side, then
-/// streams the probe side (optionally sharded across the pool) and
-/// appends matched rows to one flat output buffer.
+/// Packs the values of `row` at `cols` into one integer whose order is
+/// their lexicographic order (a join key of up to two or four columns).
+fn pack<K>(row: &[u32], cols: &[usize]) -> K
+where
+    K: From<u32> + std::ops::Shl<u32, Output = K> + std::ops::BitOr<Output = K>,
+{
+    cols.iter()
+        .fold(K::from(0), |acc, &c| (acc << 32) | K::from(row[c]))
+}
+
+/// The shared hash-join core, monomorphized over the packed key type.
+/// Each side is `(relation, key positions, output positions)`: builds a
+/// key → build-row-indices table from the smaller side, then streams
+/// the probe side (optionally sharded across the pool) and appends each
+/// match's output positions, build side first, to one flat buffer.
 fn hash_join<K>(
-    build: &Relation,
-    probe: &Relation,
-    build_key: &[usize],
-    probe_key: &[usize],
-    probe_extra: &[usize],
+    (build, build_key, build_out): (&Relation, &[usize], &[usize]),
+    (probe, probe_key, probe_extra): (&Relation, &[usize], &[usize]),
     threads: usize,
     key_of: impl Fn(&[u32], &[usize]) -> K + Sync,
 ) -> Vec<u32>
 where
     K: std::hash::Hash + Eq + Send + Sync,
 {
-    let out_arity = build.arity() + probe_extra.len();
+    let out_arity = build_out.len() + probe_extra.len();
     let mut table: HashMap<K, Vec<u32>, MixBuild> =
         HashMap::with_capacity_and_hasher(build.len(), MixBuild::default());
     for (i, row) in build.rows().enumerate() {
@@ -587,7 +591,8 @@ where
             if let Some(matches) = table.get(&key_of(row, probe_key)) {
                 out.reserve(matches.len() * out_arity);
                 for &bi in matches {
-                    out.extend_from_slice(build.row(bi as usize));
+                    let brow = build.row(bi as usize);
+                    out.extend(build_out.iter().map(|&i| brow[i]));
                     out.extend(probe_extra.iter().map(|&i| row[i]));
                 }
             }
