@@ -7,16 +7,6 @@ use epq_logic::{PpFormula, Var};
 use epq_structures::{RelId, Structure};
 use std::collections::HashMap;
 
-/// The steps of a formula's evaluation, built only by [`explain_pp`]
-/// (`epq explain`); counting formats no plan.
-#[derive(Clone, Debug, Default)]
-pub struct JoinPlan {
-    /// One line per step, e.g. `scan E(x, u) -> 3 rows`,
-    /// `eliminate u: join -> 12 rows, project -> 4 rows`,
-    /// `join (x) -> 4 rows`, `count -> 4`.
-    pub steps: Vec<String>,
-}
-
 /// Scans one atom `(rel, element-tuple)` against `b`, producing a
 /// relation whose schema is the atom's distinct element indices in order
 /// of first occurrence (repeated elements become equality selections).
@@ -147,9 +137,10 @@ impl ScanCache {
 /// sentence checks, all come from it.
 ///
 /// Each column outside `keep` is removed in turn: the relations that
-/// mention it (its *bucket*) are joined, the column is projected away,
-/// and the projection replaces the bucket, whose inputs are dropped at
-/// once. `on_step(column, joined rows, projected rows)` sees each step.
+/// mention it (its *bucket*) are joined, the column is projected away
+/// inside the last join (the full-width join is never stored), and the
+/// projection replaces the bucket, whose inputs are dropped at once.
+/// `on_step(column, joined rows, projected rows)` sees each step.
 /// What is left is joined and projected onto `keep`, in `keep`'s order.
 ///
 /// The order comes from a tree decomposition of the relations' primal
@@ -210,7 +201,16 @@ fn join_connected(
     threads: usize,
 ) -> (Relation, usize) {
     relations.sort_by_key(Relation::len);
-    let mut acc = (Relation::unit(), 1);
+    // A lone relation with a column to drop is joined to the unit
+    // relation, which projects it; any other first relation moves.
+    let mut acc = match (relations.len(), drop) {
+        (0, _) | (1, Some(_)) => (Relation::unit(), 1),
+        _ => {
+            let first = relations.remove(0);
+            let rows = first.len();
+            (first, rows)
+        }
+    };
     while !relations.is_empty() && !acc.0.is_empty() {
         let next = relations
             .iter()
@@ -315,7 +315,7 @@ fn count_pp_via(
     b: &Structure,
     threads: usize,
     scan: &mut dyn FnMut(&Structure, RelId, &[u32]) -> Relation,
-    mut plan: Option<&mut JoinPlan>,
+    mut plan: Option<&mut Vec<String>>,
 ) -> Natural {
     let mut total = Natural::one();
     for component in pp.components() {
@@ -344,7 +344,7 @@ fn component_answers(
     b: &Structure,
     threads: usize,
     scan: &mut dyn FnMut(&Structure, RelId, &[u32]) -> Relation,
-    mut plan: Option<&mut JoinPlan>,
+    mut plan: Option<&mut Vec<String>>,
 ) -> Relation {
     let names = |elements: &[u32]| {
         let names: Vec<String> = elements
@@ -359,8 +359,7 @@ fn component_answers(
             let r = scan(b, rel, atom);
             if let Some(plan) = plan.as_deref_mut() {
                 let rows = r.len();
-                plan.steps
-                    .push(format!("scan {name}({}) -> {rows} rows", names(atom)));
+                plan.push(format!("scan {name}({}) -> {rows} rows", names(atom)));
             }
             scans.push(r);
         }
@@ -369,15 +368,14 @@ fn component_answers(
     let answers = eliminate(scans, &keep, threads, &mut |column, joined, projected| {
         if let Some(plan) = plan.as_deref_mut() {
             let name = component.name(column);
-            plan.steps.push(format!(
+            plan.push(format!(
                 "eliminate {name}: join -> {joined} rows, project -> {projected} rows"
             ));
         }
     });
     if let Some(plan) = plan {
         let rows = answers.len();
-        plan.steps
-            .push(format!("join ({}) -> {rows} rows", names(&keep)));
+        plan.push(format!("join ({}) -> {rows} rows", names(&keep)));
     }
     answers
 }
@@ -434,14 +432,16 @@ pub fn count_ucq(disjuncts: &[PpFormula], b: &Structure, threads: usize) -> Natu
     }
 }
 
-/// The steps `epq explain` shows for a pp-formula: per component, the
-/// atom scans, each elimination step and the answer rows, exactly as
-/// [`count_pp`] runs them, then the count.
-pub fn explain_pp(pp: &PpFormula, b: &Structure) -> JoinPlan {
-    let mut plan = JoinPlan::default();
-    let count = count_pp_via(pp, b, 1, &mut scan_atom, Some(&mut plan));
-    plan.steps.push(format!("count -> {count}"));
-    plan
+/// The steps `epq explain` shows for a pp-formula, one line each: per
+/// component, the atom scans (`scan E(x, u) -> 3 rows`), each
+/// elimination step (`eliminate u: join -> 12 rows, project -> 4 rows`)
+/// and the answer rows (`join (x) -> 4 rows`), exactly as [`count_pp`]
+/// runs them, then the count (`count -> 4`).
+pub fn explain_pp(pp: &PpFormula, b: &Structure) -> Vec<String> {
+    let mut steps = Vec::new();
+    let count = count_pp_via(pp, b, 1, &mut scan_atom, Some(&mut steps));
+    steps.push(format!("count -> {count}"));
+    steps
 }
 
 #[cfg(test)]
@@ -672,7 +672,7 @@ mod tests {
         let pp = pp_of("(x) := exists u . E(x,u) & E(u,u)");
         let plan = explain_pp(&pp, &example_c());
         assert_eq!(
-            plan.steps,
+            plan,
             [
                 "scan E(x, u) -> 4 rows",
                 "scan E(u, u) -> 1 rows",
@@ -687,7 +687,7 @@ mod tests {
     fn explain_produces_steps() {
         let pp = pp_of("E(x,y) & E(y,z)");
         let plan = explain_pp(&pp, &example_c());
-        assert!(plan.steps.iter().any(|s| s.starts_with("scan")));
-        assert!(plan.steps.iter().any(|s| s.starts_with("join")));
+        assert!(plan.iter().any(|s| s.starts_with("scan")));
+        assert!(plan.iter().any(|s| s.starts_with("join")));
     }
 }

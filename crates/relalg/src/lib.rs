@@ -42,5 +42,5 @@
 pub mod engine;
 pub mod relation;
 
-pub use engine::{answers_pp, count_pp, count_pp_cached, count_ucq, JoinPlan, ScanCache};
+pub use engine::{answers_pp, count_pp, count_pp_cached, count_ucq, ScanCache};
 pub use relation::{Relation, Rows};

@@ -196,7 +196,7 @@ impl Relation {
     /// in the same pass: the full-width join is never materialized, and
     /// one sort+dedup normalizes the result. Also returns the row count
     /// of the full join.
-    pub fn join_dropping(
+    pub(crate) fn join_dropping(
         &self,
         other: &Relation,
         drop: Option<u32>,

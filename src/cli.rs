@@ -155,7 +155,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             let ds = dnf::disjuncts(&q, &sig).map_err(|e| e.to_string())?;
             for (i, d) in ds.iter().enumerate() {
                 writeln!(out, "disjunct {i}: {d}").map_err(io)?;
-                for step in epq_relalg::engine::explain_pp(d, &b).steps {
+                for step in epq_relalg::engine::explain_pp(d, &b) {
                     writeln!(out, "  {step}").map_err(io)?;
                 }
             }

@@ -142,8 +142,9 @@ fn walk_pairs(b: &Structure, k: usize) -> u64 {
 
 /// ∃-paths `Q_k(x, y)` for k = 3, 5 and 7 against adjacency-matrix
 /// powers: on n = 128 with 1536 edges, `fpt` and `relalg` at 1, 2 and 4
-/// threads; on n = 8 with 16 edges, brute force too. The large rows are
-/// the ones where projecting only after the whole join did not finish.
+/// threads; on n = 8 with 16 edges, brute force too. The large rows
+/// finish only when each quantified variable is projected away as soon
+/// as its relations are joined.
 #[test]
 fn exists_paths_match_adjacency_matrix_powers() {
     for k in [3usize, 5, 7] {
