@@ -26,8 +26,8 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `jobs` on up to `threads` scoped worker threads, returning the
-/// results in job order.
+/// Runs `jobs` on up to `threads` workers — the caller's thread and up
+/// to `threads - 1` scoped threads — returning the results in job order.
 ///
 /// With `threads <= 1` (or a single job) everything runs inline on the
 /// caller's thread — every engine at one thread is *exactly* the
@@ -46,22 +46,25 @@ where
     let cursor = AtomicUsize::new(0);
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = jobs[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("job taken twice");
-                let result = job();
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let job = jobs[i]
+            .lock()
+            .expect("job slot poisoned")
+            .take()
+            .expect("job taken twice");
+        let result = job();
+        *slots[i].lock().expect("result slot poisoned") = Some(result);
+    };
+    // The caller is one of the workers: it would only wait otherwise.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
