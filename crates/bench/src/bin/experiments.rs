@@ -83,7 +83,7 @@ struct P4Row {
 /// P4 — streaming maintenance: `LiveCount` (per-disjunct read sets +
 /// cached relational-algebra scans) against prepare-once/
 /// recount-each-checkpoint on the same insert log. A second, smaller
-/// family runs the DP-table fallback (`fpt` engine) for agreement.
+/// family runs the engine-recount fallback (`fpt` engine) for agreement.
 ///
 /// **Exits nonzero if any checkpoint count disagrees** between
 /// incremental maintenance and the from-scratch recount, **or if
@@ -186,7 +186,7 @@ fn p4_streaming() {
     });
     print_row(rows.last().unwrap());
 
-    // The DP-table fallback family (smaller: every affected term is
+    // The engine-recount fallback family (smaller: every affected term is
     // fully recounted through the fpt engine — this checks agreement,
     // not speed).
     let fallback_query = parse_query("(x,y) := (E(x,y) & E(y,x)) | F(x,y)").unwrap();
@@ -691,7 +691,7 @@ fn f1_engine_scaling() {
 
     // F1b: the real FPT payoff is in *query-size* scaling — a free path
     // P_k has k+1 liberal variables, so brute force pays |B|^(k+1) while
-    // the DP engine stays polynomial.
+    // the fpt engine stays polynomial.
     println!("== F1b: query-size scaling, free paths P_k on G(8, 0.25) ==");
     let b = data::random_digraph(&mut StdRng::seed_from_u64(99), 8, 0.25);
     let widths = [6, 12, 14, 14];
@@ -729,7 +729,7 @@ fn f1_engine_scaling() {
             )
         );
     }
-    println!("  (brute force pays |B|^(k+1); the DP engine stays flat — the FPT crossover)");
+    println!("  (brute force pays |B|^(k+1); the fpt engine stays flat — the FPT crossover)");
     if disagreements > 0 {
         eprintln!("F1 FAILED: {disagreements} engine count(s) disagree with the first engine");
         std::process::exit(1);

@@ -23,8 +23,8 @@
 //!   `relalg` family), affected terms re-evaluate through an
 //!   [`epq_relalg::ScanCache`]: only atoms over dirty relations
 //!   rescan, the joins replay on mostly-cached inputs;
-//! * **the DP-table fallback** — for every other engine (`fpt`,
-//!   `brute-force`) a dirty relation feeds DP tables or enumeration
+//! * **the engine-recount fallback** — for every other engine (`fpt`,
+//!   `brute-force`) a dirty relation feeds the engine's own eliminations or enumeration
 //!   state that cannot be patched, so each *affected* term is fully
 //!   recounted through the engine (clean terms still come from the
 //!   cache).
@@ -79,7 +79,7 @@ pub struct LiveCountStats {
     /// `φ*` terms served from the per-term cache.
     pub term_reuses: u64,
     /// Of the recounts, how many went through the prepared (non
-    /// scan-based) engine — the DP-table fallback path.
+    /// scan-based) engine — the engine-recount fallback path.
     pub engine_fallbacks: u64,
     /// Sentence disjuncts re-checked.
     pub sentence_rechecks: u64,
@@ -175,7 +175,7 @@ impl LiveCount {
 
     /// Whether affected terms re-evaluate through cached
     /// relational-algebra scans (`true`) or the prepared engine's full
-    /// per-term recount (`false`, the DP-table fallback).
+    /// per-term recount (`false`, the engine-recount fallback).
     pub fn uses_cached_relalg(&self) -> bool {
         self.cached_relalg
     }

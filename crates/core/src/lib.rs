@@ -35,7 +35,7 @@
 //!   prepared query's answer count current while the structure grows
 //!   tuple by tuple, recomputing only the disjuncts that read a dirty
 //!   relation (cached relational-algebra intermediates; full per-term
-//!   recount when a dirty relation feeds a DP-table engine).
+//!   recount when a dirty relation feeds a non-scan-based engine).
 
 pub mod classify;
 pub mod count;

@@ -147,7 +147,7 @@ proptest! {
     /// The streaming tentpole invariant: after **every** checkpoint of
     /// a random insert sequence, `LiveCount::current` equals a
     /// from-scratch `PreparedQuery::count` on the same snapshot — for
-    /// the cached-relalg maintenance path and for the DP-table (fpt)
+    /// the cached-relalg maintenance path and for the engine-recount (fpt)
     /// fallback path, each at 1/2/4 prepared worker threads, with a
     /// brute-force cross-check on the final structure.
     #[test]
@@ -175,7 +175,7 @@ proptest! {
         );
 
         // Maintenance configurations: cached relational algebra, then
-        // the DP-table (fpt) fallback, each at three thread caps.
+        // the engine-recount (fpt) fallback, each at three thread caps.
         let mut maintainers: Vec<LiveCount> = Vec::new();
         for relalg in [true, false] {
             for threads in [1usize, 2, 4] {

@@ -34,7 +34,7 @@ pub trait PpCountingEngine: Send + Sync {
     /// so that an incremental maintainer
     /// (`epq_core::incremental::LiveCount`) can re-evaluate affected
     /// formulas through cached scan intermediates
-    /// (`epq_relalg::ScanCache`). The DP-table and enumeration engines
+    /// (`epq_relalg::ScanCache`). The fpt and enumeration engines
     /// return `false`: a dirty relation invalidates their state
     /// wholesale, so incremental maintenance falls back to a full
     /// per-formula recount through the engine.

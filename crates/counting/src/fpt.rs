@@ -15,9 +15,11 @@
 //! 3. gates on the liberal-free components: the same elimination with
 //!    `keep = ∅`, where an empty result makes the whole count 0;
 //! 4. counts assignments of `S` satisfying the liberal atoms plus the
-//!    derived constraints by the counting DP over a tree decomposition of
-//!    **contract(A, S)** — whose primal graph is exactly the contract
-//!    graph, so bounded contract treewidth keeps the tables polynomial.
+//!    derived constraints by **sum-product variable elimination**
+//!    ([`count_csp`]): the same [`eliminate`] run over bags, with every
+//!    liberal variable eliminated, where a join multiplies multiplicities
+//!    and dropping a variable sums them. A liberal variable in no
+//!    constraint is a factor `|B|`.
 //!
 //! # Why step 2 stays FPT
 //!
@@ -34,8 +36,20 @@
 //! running time is `f(φ) · poly(|B|)` — the FPT regime of Theorem
 //! 3.2(1). (Past `epq_graph::treewidth::EXACT_VERTEX_LIMIT` vertices the
 //! decomposition is heuristic; its width still depends on `φ` alone.)
+//!
+//! # Why step 4 stays FPT
+//!
+//! The constraints of step 4 are the liberal atoms and the boundaries
+//! `∂`, each a clique of contract(A, S), and that is every edge: the
+//! network's primal graph is the contract graph on the variables it
+//! constrains. Its elimination order comes from a tree decomposition of
+//! that graph, so the counting stage holds at most
+//! `|B|^(tw(contract)+1)` rows at once (with an exact decomposition; a
+//! heuristic one past the vertex limit gives its own width), and runs in
+//! `|B|^O(tw(contract))` time. Its multiplicities are exact: `u128`
+//! while they fit, [`Natural`] once a step overflows.
 
-use crate::csp::{CspConstraint, TdCounter};
+use crate::csp::count_csp;
 use epq_bigint::Natural;
 use epq_logic::contract::existential_components;
 use epq_logic::PpFormula;
@@ -47,11 +61,10 @@ use epq_structures::Structure;
 /// fixed-parameter tractable when the tractability condition holds.
 ///
 /// Up to `threads` workers share the joins of each ∃-component's
-/// [`eliminate`] run (each join's probe side is split by row ranges) and
-/// the final **counting DP** over the contract graph, which shards each
-/// node's table construction by sorted-order chunks of the child table
-/// ([`TdCounter::count`]). Both merges are order-insensitive, so the
-/// result is identical at every thread count.
+/// [`eliminate`] run and of the counting stage: each join's probe side is
+/// split by row ranges, and the shards' rows are concatenated in range
+/// order before one sort, so the result is identical at every thread
+/// count.
 pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     let core = pp.core();
     let s = core.liberal_count();
@@ -60,14 +73,14 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
     let component_of = |e: &u32| components.iter().position(|c| c.interior.contains(e));
     // Scan each atom once: a liberal atom is a constraint as it stands,
     // any other one joins its ∃-component's scans.
-    let mut constraints: Vec<CspConstraint> = Vec::new();
+    let mut constraints: Vec<Relation> = Vec::new();
     let mut scans: Vec<Vec<Relation>> = vec![Vec::new(); components.len()];
     for (rel, _, _) in structure.signature().iter() {
         for atom in structure.relation(rel).tuples() {
             let scan = scan_atom(b, rel, atom);
             match atom.iter().find_map(component_of) {
                 Some(i) => scans[i].push(scan),
-                None => constraints.push(CspConstraint::new(scan.schema().to_vec(), scan.rows())),
+                None => constraints.push(scan),
             }
         }
     }
@@ -84,11 +97,11 @@ pub fn count_pp_fpt(pp: &PpFormula, b: &Structure, threads: usize) -> Natural {
             return Natural::zero();
         }
         if !comp.boundary.is_empty() {
-            constraints.push(CspConstraint::new(comp.boundary.clone(), allowed.rows()));
+            constraints.push(allowed);
         }
     }
-    // Count over S by DP on (a tree decomposition of) the contract graph.
-    TdCounter::new(s, b.universe_size(), constraints).count(&[], threads)
+    // Count over S by elimination along the contract graph.
+    count_csp(s, b.universe_size(), constraints, threads)
 }
 
 #[cfg(test)]

@@ -4,72 +4,29 @@
 //! The fixed-family agreement tests live in the workspace-level
 //! `tests/engine_agreement.rs`; this suite drives the engines over
 //! *random* small queries × random structures — the shard boundaries of
-//! the threaded #Hom DP and the brute sweep move with the thread
-//! count, so agreement here checks that no assignment is dropped or
+//! the threaded joins and the brute sweep move with the thread count,
+//! so agreement here checks that no assignment is dropped or
 //! double-counted at any boundary.
 
 use epq_bigint::Natural;
 use epq_counting::brute::{
     count_pp_brute, count_pp_brute_par, for_each_assignment, for_each_assignment_in_range,
 };
-use epq_counting::csp::{count_csp_brute, CspConstraint, TdCounter};
+use epq_counting::csp::{count_csp, count_csp_brute};
 use epq_counting::engines::all_engines;
 use epq_counting::fpt::count_pp_fpt;
-use epq_counting::table::FlatTable;
+use epq_logic::parser::parse_query;
 use epq_logic::PpFormula;
+use epq_relalg::Relation;
+use epq_structures::Structure;
 use epq_workloads::{data, queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashSet};
 
 fn random_pp(seed: u64, vars: usize, atoms: usize, quantify: f64) -> PpFormula {
     let q = queries::random_cq(&mut StdRng::seed_from_u64(seed), vars, atoms, quantify);
     PpFormula::from_query(&q, &data::digraph_signature()).unwrap()
-}
-
-/// A random DP table plus the `BTreeMap` the seed implementation kept:
-/// duplicate random keys merge by summation in both.
-fn random_table(
-    seed: u64,
-    arity: usize,
-    entries: usize,
-    domain: u32,
-) -> (FlatTable, BTreeMap<Vec<u32>, Natural>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let raw: Vec<(Vec<u32>, Natural)> = (0..entries)
-        .map(|_| {
-            let key: Vec<u32> = (0..arity).map(|_| rng.gen_range(0..domain)).collect();
-            (key, Natural::from(rng.gen_range(1..6u64)))
-        })
-        .collect();
-    let mut model: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
-    for (key, count) in &raw {
-        *model.entry(key.clone()).or_insert_with(Natural::zero) += count;
-    }
-    (FlatTable::from_entries(arity, raw), model)
-}
-
-/// The packed table and the map reference must agree entry for entry,
-/// in the same (sorted) order.
-fn assert_table_is(
-    got: &FlatTable,
-    expected: &BTreeMap<Vec<u32>, Natural>,
-    pass: &str,
-    threads: usize,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        got.len(),
-        expected.len(),
-        "{} size at {} threads",
-        pass,
-        threads
-    );
-    for ((key, count), (ekey, ecount)) in got.iter().zip(expected.iter()) {
-        prop_assert_eq!(key, &ekey[..], "{} key at {} threads", pass, threads);
-        prop_assert_eq!(count, ecount, "{} count at {} threads", pass, threads);
-    }
-    Ok(())
 }
 
 proptest! {
@@ -148,93 +105,30 @@ proptest! {
         domain in 1usize..4,
         constraints in 0usize..4,
     ) {
-        // Random binary CSPs: the prepared TdCounter must agree with
-        // plain enumeration sequentially and at every thread count.
+        // Random networks of unary to ternary constraints, some of them
+        // empty, over variables some of which no constraint mentions:
+        // the counting elimination must agree with plain enumeration at
+        // every thread count.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cs = Vec::new();
         for _ in 0..constraints {
-            let a = rng.gen_range(0..variables as u32);
-            let b = rng.gen_range(0..variables as u32);
-            if a == b {
-                continue;
+            let mut scope: Vec<u32> = (0..variables as u32).collect();
+            for i in (1..scope.len()).rev() {
+                scope.swap(i, rng.gen_range(0..=i));
             }
-            let mut allowed = HashSet::new();
-            for x in 0..domain as u32 {
-                for y in 0..domain as u32 {
-                    if rng.gen_bool(0.6) {
-                        allowed.insert(vec![x, y]);
-                    }
+            scope.truncate(rng.gen_range(1..=variables.min(3)));
+            let density = if rng.gen_bool(0.15) { 0.0 } else { 0.6 };
+            let mut rows = Vec::new();
+            for_each_assignment(domain, scope.len(), &mut |t| {
+                if rng.gen_bool(density) {
+                    rows.push(t.to_vec());
                 }
-            }
-            cs.push(CspConstraint::new(vec![a, b], allowed));
+            });
+            cs.push(Relation::new(scope, rows));
         }
-        let expected = count_csp_brute(variables, domain, &cs, &[]);
-        let counter = TdCounter::new(variables, domain, cs);
+        let expected = count_csp_brute(variables, domain, &cs);
         for threads in [1usize, 2, 4] {
-            prop_assert_eq!(counter.count(&[], threads), expected.clone());
-        }
-    }
-
-    #[test]
-    fn flat_table_passes_match_btreemap_reference(
-        seed in 0u64..10_000,
-        arity in 0usize..=3,
-        entries in 0usize..40,
-        domain in 1u32..=4,
-        slot_pick in 0usize..16,
-        modulus in 1u32..=4,
-    ) {
-        // A random nice-decomposition node: a child table of `arity`-wide
-        // bag assignments, put through each of the three DP passes, on
-        // the packed-key arena and on the `BTreeMap` the seed DP used —
-        // at 1, 2, and 4 threads.
-        let (table, model) = random_table(seed, arity, entries, domain);
-
-        // Introduce at a random slot over the full candidate range, with
-        // a nontrivial filter.
-        let slot = slot_pick % (arity + 1);
-        let candidates: Vec<u32> = (0..domain).collect();
-        let keep = |key: &[u32]| key.iter().sum::<u32>() % modulus != 0;
-        let mut expected: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
-        for (key, count) in &model {
-            for &x in &candidates {
-                let mut grown = key.clone();
-                grown.insert(slot, x);
-                if keep(&grown) {
-                    *expected.entry(grown).or_insert_with(Natural::zero) += count;
-                }
-            }
-        }
-        for threads in [1usize, 2, 4] {
-            let got = table.introduce(slot, &candidates, keep, threads);
-            assert_table_is(&got, &expected, "introduce", threads)?;
-        }
-
-        // Forget each slot in turn (arity permitting).
-        for slot in 0..arity {
-            let mut expected: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
-            for (key, count) in &model {
-                let mut shrunk = key.clone();
-                shrunk.remove(slot);
-                *expected.entry(shrunk).or_insert_with(Natural::zero) += count;
-            }
-            for threads in [1usize, 2, 4] {
-                let got = table.forget(slot, threads);
-                assert_table_is(&got, &expected, "forget", threads)?;
-            }
-        }
-
-        // Join against a second random table of the same arity.
-        let (other, other_model) = random_table(seed ^ 0xbead, arity, entries / 2 + 1, domain);
-        let mut expected: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
-        for (key, count) in &model {
-            if let Some(factor) = other_model.get(key) {
-                expected.insert(key.clone(), count * factor);
-            }
-        }
-        for threads in [1usize, 2, 4] {
-            let got = table.join(&other, threads);
-            assert_table_is(&got, &expected, "join", threads)?;
+            prop_assert_eq!(count_csp(variables, domain, cs.clone(), threads), expected.clone());
         }
     }
 
@@ -267,70 +161,53 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn sharded_flat_table_passes_cross_the_pool_threshold(
-        seed in 0u64..10_000,
-        slot_pick in 0usize..16,
-        modulus in 2u32..=4,
-    ) {
-        // Tables above PAR_NODE_THRESHOLD: the 2/4-thread runs really
-        // shard across the pool and the chunk merges really execute.
-        let arity = 2usize;
-        let domain = 64u32;
-        let (table, model) = random_table(seed, arity, 4096, domain);
-        prop_assert!(table.len() >= epq_counting::csp::PAR_NODE_THRESHOLD);
-
-        let slot = slot_pick % (arity + 1);
-        let candidates: Vec<u32> = (0..4).collect();
-        let keep = |key: &[u32]| key.iter().sum::<u32>() % modulus != 0;
-        let mut expected: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
-        for (key, count) in &model {
-            for &x in &candidates {
-                let mut grown = key.clone();
-                grown.insert(slot, x);
-                if keep(&grown) {
-                    *expected.entry(grown).or_insert_with(Natural::zero) += count;
-                }
-            }
-        }
-        for threads in [1usize, 2, 4] {
-            assert_table_is(
-                &table.introduce(slot, &candidates, keep, threads),
-                &expected,
-                "introduce",
-                threads,
-            )?;
-        }
-
-        let slot = slot_pick % arity;
-        let mut expected: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
-        for (key, count) in &model {
-            let mut shrunk = key.clone();
-            shrunk.remove(slot);
-            *expected.entry(shrunk).or_insert_with(Natural::zero) += count;
-        }
-        for threads in [1usize, 2, 4] {
-            assert_table_is(&table.forget(slot, threads), &expected, "forget", threads)?;
-        }
-
-        let (other, other_model) = random_table(seed ^ 0xbead, arity, 4096, domain);
-        let mut expected: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
-        for (key, count) in &model {
-            if let Some(factor) = other_model.get(key) {
-                expected.insert(key.clone(), count * factor);
-            }
-        }
-        for threads in [1usize, 2, 4] {
-            assert_table_is(&table.join(&other, threads), &expected, "join", threads)?;
-        }
-    }
-}
-
 #[test]
 fn engine_roster_is_stable() {
     let names: Vec<&str> = all_engines().iter().map(|e| e.name()).collect();
     assert_eq!(names, ["brute-force", "relalg", "fpt"]);
+}
+
+/// `(x1, …, x40)` on a 16-element structure: counts past `u128`, whose
+/// intermediate multiplicities overflow too on the path, must equal their
+/// closed forms at every thread count.
+#[test]
+fn fpt_counts_past_u128_match_closed_forms() {
+    let vars: Vec<String> = (1..=40).map(|i| format!("x{i}")).collect();
+    let head = format!("({}) := ", vars.join(","));
+    let path: Vec<String> = vars
+        .windows(2)
+        .map(|w| format!("E({},{})", w[0], w[1]))
+        .collect();
+    let digraph = |edge: &dyn Fn(u32, u32) -> bool| {
+        let mut b = Structure::new(data::digraph_signature(), 16);
+        for u in 0..16 {
+            for v in (0..16).filter(|&v| edge(u, v)) {
+                b.add_tuple_named("E", &[u, v]);
+            }
+        }
+        b
+    };
+    let complete = digraph(&|_, _| true);
+    let sparse = digraph(&|u, v| v == (3 * u + 1) % 16 || (u == v && u % 4 == 0));
+    let sixteen = Natural::from(16u64);
+    let cases = [
+        (head.clone() + &path.join(" & "), complete, sixteen.pow(40)),
+        (
+            head + "E(x1,x2)",
+            sparse,
+            Natural::from(20u64) * sixteen.pow(38),
+        ),
+    ];
+    for (text, b, expected) in cases {
+        assert!(expected > Natural::from(u128::MAX));
+        let q = parse_query(&text).unwrap();
+        let pp = PpFormula::from_query(&q, &data::digraph_signature()).unwrap();
+        for threads in [1usize, 2, 4] {
+            assert_eq!(
+                count_pp_fpt(&pp, &b, threads),
+                expected,
+                "{threads} threads"
+            );
+        }
+    }
 }

@@ -134,13 +134,21 @@ impl ScanCache {
 /// Projects the natural join of `relations` onto `keep` by variable
 /// elimination. This is the one ∃-projection of the workspace: relalg's
 /// counts and answer sets, and the fpt engine's boundary constraints and
-/// sentence checks, all come from it.
+/// sentence checks, all come from it. Over bags
+/// ([`Relation::counted`]) the same steps sum where sets deduplicate, so
+/// each kept row's multiplicity counts its extensions to every column:
+/// the fpt engine counts the contract graph's solutions that way, with
+/// `keep` empty.
 ///
 /// Each column outside `keep` is removed in turn: the relations that
 /// mention it (its *bucket*) are joined, the column is projected away
 /// inside the last join (the full-width join is never stored), and the
-/// projection replaces the bucket, whose inputs are dropped at once.
-/// `on_step(column, joined rows, projected rows)` sees each step.
+/// projection replaces the bucket, whose inputs are dropped at once. A
+/// bucket that is one bag is projected instead onto its columns that
+/// `keep` or another relation still needs, which sums all its other
+/// columns away in one pass; a set keeps one step per column, the steps
+/// `epq explain` prints. `on_step(column, joined rows, projected rows)`
+/// sees each step.
 /// What is left is joined and projected onto `keep`, in `keep`'s order.
 ///
 /// The order comes from a tree decomposition of the relations' primal
@@ -154,7 +162,8 @@ impl ScanCache {
 ///
 /// An empty intermediate ends the run with the empty relation over
 /// `keep`. With `keep` empty the result is [`Relation::unit`] or
-/// [`Relation::empty`]: a satisfiability verdict. Joins run on up to
+/// [`Relation::empty`]: a satisfiability verdict (over bags, a nullary
+/// bag whose [`Relation::total`] is the count). Joins run on up to
 /// `threads` pool workers, and the result is identical at every thread
 /// count.
 ///
@@ -169,11 +178,21 @@ pub fn eliminate(
     let order = elimination_order(&relations, keep);
     let mut pool = relations;
     for column in order {
-        let (bucket, rest) = pool
+        let (bucket, rest): (Vec<Relation>, _) = pool
             .into_iter()
             .partition(|r: &Relation| r.schema().contains(&column));
         pool = rest;
-        let (projected, joined) = join_connected(bucket, Some(column), threads);
+        let (projected, joined) = match &bucket[..] {
+            // A column summed away with an earlier lone bag.
+            [] => continue,
+            [lone] if lone.is_bag() => {
+                let needed: Vec<u32> = (lone.schema().iter().copied())
+                    .filter(|c| keep.contains(c) || pool.iter().any(|r| r.schema().contains(c)))
+                    .collect();
+                (lone.project(&needed), lone.len())
+            }
+            _ => join_connected(bucket, Some(column), threads),
+        };
         on_step(column, joined, projected.len());
         if projected.is_empty() {
             return Relation::new(keep.to_vec(), Vec::new());

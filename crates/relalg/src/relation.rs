@@ -21,7 +21,18 @@
 //! determinism argument (shard boundaries depend only on row indices;
 //! all partials funnel through the same sort+dedup normalization) is
 //! untouched.
+//!
+//! # Multiplicities
+//!
+//! A relation is a *set* unless it carries a multiplicity column; then it
+//! is a *bag* ([`Relation::counted`]). A join multiplies multiplicities
+//! (a set's rows count once) and a projection sums them, so variable
+//! elimination over bags counts solutions where over sets it decides
+//! them. The column holds `u128` counts while they fit; a step whose
+//! checked sum or product overflows is redone exactly in [`Natural`].
+//! Sets store no column, and their operations never look at one.
 
+use epq_bigint::Natural;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -33,7 +44,7 @@ const PAR_JOIN_MIN_PROBE_ROWS: usize = 256;
 
 /// A materialized relation: a schema of column identifiers (pp-formula
 /// element indices) and a deduplicated, sorted set of rows in a flat
-/// row-major arena.
+/// row-major arena, with a multiplicity per row when it is a bag.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Relation {
     schema: Vec<u32>,
@@ -41,6 +52,83 @@ pub struct Relation {
     len: usize,
     /// Row-major arena, `len * schema.len()` values.
     data: Vec<u32>,
+    counts: Counts,
+}
+
+/// A relation's multiplicity column, aligned with its rows.
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Counts {
+    /// A set: every row counts once, and no column is stored.
+    Ones,
+    /// A bag whose counts all fit in a `u128`.
+    Small(Vec<u128>),
+    /// A bag after some step overflowed `u128`.
+    Big(Vec<Natural>),
+}
+
+impl Counts {
+    /// Row `i`'s count, unless the column is past `u128`.
+    fn small(&self, i: usize) -> Option<u128> {
+        match self {
+            Counts::Ones => Some(1),
+            Counts::Small(c) => Some(c[i]),
+            Counts::Big(_) => None,
+        }
+    }
+
+    /// Row `i`'s count.
+    fn big(&self, i: usize) -> Natural {
+        match self {
+            Counts::Ones => Natural::one(),
+            Counts::Small(c) => Natural::from(c[i]),
+            Counts::Big(c) => c[i].clone(),
+        }
+    }
+
+    /// The count of each `(i, j)` pair: row `i`'s count here times row
+    /// `j`'s count in `other`.
+    fn products(&self, other: &Counts, pairs: &[(u32, u32)]) -> Counts {
+        let small = pairs
+            .iter()
+            .map(|&(i, j)| {
+                self.small(i as usize)?
+                    .checked_mul(other.small(j as usize)?)
+            })
+            .collect();
+        match small {
+            Some(column) => Counts::Small(column),
+            None => Counts::Big(
+                pairs
+                    .iter()
+                    .map(|&(i, j)| &self.big(i as usize) * &other.big(j as usize))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The sum of the counts of each run `order[runs[k]..runs[k + 1]]`
+    /// (the last run ends at `order.len()`).
+    fn run_sums(&self, order: &[u32], runs: &[usize]) -> Counts {
+        let ends = runs.iter().skip(1).copied().chain([order.len()]);
+        let spans = || runs.iter().zip(ends.clone()).map(|(&a, b)| &order[a..b]);
+        let small = spans()
+            .map(|run| {
+                run.iter()
+                    .try_fold(0u128, |acc, &i| acc.checked_add(self.small(i as usize)?))
+            })
+            .collect();
+        match small {
+            Some(column) => Counts::Small(column),
+            None => Counts::Big(
+                spans()
+                    .map(|run| {
+                        run.iter()
+                            .fold(Natural::zero(), |acc, &i| acc + self.big(i as usize))
+                    })
+                    .collect(),
+            ),
+        }
+    }
 }
 
 impl Relation {
@@ -61,6 +149,7 @@ impl Relation {
                 schema,
                 len: usize::from(!rows.is_empty()),
                 data: Vec::new(),
+                counts: Counts::Ones,
             };
         }
         let mut data = Vec::with_capacity(rows.len() * schema.len());
@@ -87,7 +176,36 @@ impl Relation {
         let arity = schema.len();
         assert_eq!(data.len() % arity, 0, "flat buffer width mismatch");
         let (len, data) = sort_dedup_flat(arity, data);
-        Relation { schema, len, data }
+        Relation {
+            schema,
+            len,
+            data,
+            counts: Counts::Ones,
+        }
+    }
+
+    /// Builds a bag from a flat row-major buffer and one count per row,
+    /// sorting the rows and summing the counts of equal ones.
+    fn from_counted_flat(schema: Vec<u32>, data: Vec<u32>, counts: Counts) -> Self {
+        assert_distinct(&schema);
+        let n = match &counts {
+            Counts::Ones => unreachable!("a bag has a count column"),
+            Counts::Small(c) => c.len(),
+            Counts::Big(c) => c.len(),
+        };
+        let arity = schema.len();
+        let row = |i: u32| &data[i as usize * arity..(i as usize + 1) * arity];
+        let (order, runs) = sorted_runs(arity, &data, n);
+        let mut sorted = Vec::with_capacity(runs.len() * arity);
+        for &k in &runs {
+            sorted.extend_from_slice(row(order[k]));
+        }
+        Relation {
+            schema,
+            len: runs.len(),
+            data: sorted,
+            counts: counts.run_sums(&order, &runs),
+        }
     }
 
     /// Builds a relation from a flat buffer whose rows are already
@@ -105,7 +223,12 @@ impl Relation {
             "rows must arrive sorted and deduplicated"
         );
         debug_assert!(!schema.is_empty() || len <= 1);
-        Relation { schema, len, data }
+        Relation {
+            schema,
+            len,
+            data,
+            counts: Counts::Ones,
+        }
     }
 
     /// The nullary relation with a single empty row (the join identity).
@@ -114,6 +237,7 @@ impl Relation {
             schema: Vec::new(),
             len: 1,
             data: Vec::new(),
+            counts: Counts::Ones,
         }
     }
 
@@ -123,6 +247,40 @@ impl Relation {
             schema: Vec::new(),
             len: 0,
             data: Vec::new(),
+            counts: Counts::Ones,
+        }
+    }
+
+    /// The same rows as a bag in which each row counts once. Joins with
+    /// a bag multiply multiplicities and projections of one sum them
+    /// (see the module docs). A bag is returned as it is.
+    pub fn counted(self) -> Relation {
+        let counts = match self.counts {
+            Counts::Ones => Counts::Small(vec![1; self.len]),
+            counts => counts,
+        };
+        Relation { counts, ..self }
+    }
+
+    /// Whether this is a bag (see [`Relation::counted`]).
+    pub(crate) fn is_bag(&self) -> bool {
+        self.counts != Counts::Ones
+    }
+
+    /// The multiplicity of row `i`: 1 in a set.
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    pub fn multiplicity(&self, i: usize) -> Natural {
+        assert!(i < self.len, "row index out of range");
+        self.counts.big(i)
+    }
+
+    /// The sum of the multiplicities: the row count of a set.
+    pub fn total(&self) -> Natural {
+        match &self.counts {
+            Counts::Ones => Natural::from(self.len),
+            counts => (0..self.len).fold(Natural::zero(), |acc, i| acc + counts.big(i)),
         }
     }
 
@@ -173,17 +331,14 @@ impl Relation {
     pub fn renamed(self, schema: Vec<u32>) -> Relation {
         assert_eq!(schema.len(), self.schema.len(), "renamed width mismatch");
         assert_distinct(&schema);
-        Relation {
-            schema,
-            len: self.len,
-            data: self.data,
-        }
+        Relation { schema, ..self }
     }
 
     /// Natural join on shared columns (hash join; the smaller side
     /// builds), with the probe (outer) side partitioned into contiguous
     /// row-range shards across up to `threads` pool workers (`1` runs
-    /// inline).
+    /// inline). When either side is a bag, so is the result, and each
+    /// row's multiplicity is the product of its two sources'.
     ///
     /// Shard boundaries depend only on row indices, and every partial
     /// result set funnels through the same sort+dedup normalization, so
@@ -194,8 +349,8 @@ impl Relation {
 
     /// [`Relation::join`] with column `drop` (when given) projected away
     /// in the same pass: the full-width join is never materialized, and
-    /// one sort+dedup normalizes the result. Also returns the row count
-    /// of the full join.
+    /// one sort+dedup (for bags, sort+sum) normalizes the result. Also
+    /// returns the row count of the full join.
     pub(crate) fn join_dropping(
         &self,
         other: &Relation,
@@ -236,7 +391,19 @@ impl Relation {
         // Output schema: build's kept columns then probe's non-shared ones.
         let mut schema: Vec<u32> = build_out.iter().map(|&i| build.schema[i]).collect();
         schema.extend(probe_extra.iter().map(|&i| probe.schema[i]));
+        let b = (build, &build_key[..], &build_out[..]);
+        let p = (probe, &probe_key[..], &probe_extra[..]);
 
+        if self.is_bag() || other.is_bag() {
+            // Each output row remembers its (build, probe) sources, so
+            // the pair count is the full join's row count even at width 0.
+            let (data, pairs) = join_rows::<true>(b, p, threads);
+            let counts = build.counts.products(&probe.counts, &pairs);
+            return (
+                Relation::from_counted_flat(schema, data, counts),
+                pairs.len(),
+            );
+        }
         if schema.is_empty() {
             // A flat buffer cannot count rows of width 0: join in full
             // (nullary ⋈ nullary is unit only when both sides are).
@@ -252,25 +419,13 @@ impl Relation {
             return (joined, rows);
         }
 
-        // The key columns pack into a fixed-width integer for up to four
-        // shared columns (the overwhelmingly common case — shared sets
-        // are intersections of atom schemas); wider keys fall back to a
-        // boxed slice. Either way, no allocation per probe row on the
-        // packed paths.
-        let b = (build, &build_key[..], &build_out[..]);
-        let p = (probe, &probe_key[..], &probe_extra[..]);
-        let data = match build_key.len() {
-            0..=2 => hash_join(b, p, threads, pack::<u64>),
-            3..=4 => hash_join(b, p, threads, pack::<u128>),
-            _ => hash_join(b, p, threads, |row, cols| -> Box<[u32]> {
-                cols.iter().map(|&c| row[c]).collect()
-            }),
-        };
+        let (data, _) = join_rows::<false>(b, p, threads);
         let rows = data.len() / schema.len();
         (Relation::from_flat(schema, data), rows)
     }
 
-    /// Projection onto `columns` (with deduplication).
+    /// Projection onto `columns` (with deduplication; a bag sums the
+    /// multiplicities of the rows that collapse).
     ///
     /// # Panics
     /// Panics if a requested column is absent.
@@ -287,7 +442,7 @@ impl Relation {
                     .unwrap_or_else(|| panic!("column {c} not in schema"))
             })
             .collect();
-        if columns.is_empty() {
+        if columns.is_empty() && !self.is_bag() {
             return if self.len > 0 {
                 Relation::unit()
             } else {
@@ -298,7 +453,11 @@ impl Relation {
         for row in self.rows() {
             data.extend(positions.iter().map(|&i| row[i]));
         }
-        Relation::from_flat(columns.to_vec(), data)
+        if self.is_bag() {
+            Relation::from_counted_flat(columns.to_vec(), data, self.counts.clone())
+        } else {
+            Relation::from_flat(columns.to_vec(), data)
+        }
     }
 
     /// Set union. Schemas must contain the same columns; `other` is
@@ -306,8 +465,10 @@ impl Relation {
     /// deduplicated, so this is a single merge pass — no re-sort.
     ///
     /// # Panics
-    /// Panics if a column of `self` is absent from `other`.
+    /// Panics if a column of `self` is absent from `other`, or if either
+    /// side is a bag.
     pub fn union(&self, other: &Relation) -> Relation {
+        assert!(!self.is_bag() && !other.is_bag(), "union of a bag");
         let reordered;
         let other = if other.schema == self.schema {
             other
@@ -362,8 +523,9 @@ impl Relation {
     /// sorted order, so no re-sort happens.
     ///
     /// # Panics
-    /// Panics if `column` is already in the schema.
+    /// Panics if `column` is already in the schema, or on a bag.
     pub fn extend_with_domain(&self, column: u32, domain: usize) -> Relation {
+        assert!(!self.is_bag(), "domain extension of a bag");
         assert!(
             !self.schema.contains(&column),
             "column {column} already present"
@@ -382,7 +544,11 @@ impl Relation {
 
     /// Selection: keep rows where the given columns are equal. Filtering
     /// preserves the canonical order, so no re-sort happens.
+    ///
+    /// # Panics
+    /// Panics if a column is absent, or on a bag.
     pub fn select_eq(&self, a: u32, b: u32) -> Relation {
+        assert!(!self.is_bag(), "selection on a bag");
         let pa = self.schema.iter().position(|&x| x == a).expect("column a");
         let pb = self.schema.iter().position(|&x| x == b).expect("column b");
         let mut data = Vec::new();
@@ -505,6 +671,29 @@ fn sort_dedup_flat(arity: usize, mut data: Vec<u32>) -> (usize, Vec<u32>) {
     }
 }
 
+/// The row indices of a flat buffer of `n` rows in sorted row order,
+/// and the positions in that order where each run of equal rows starts.
+/// Rows of up to four columns sort and compare as packed words, as in
+/// [`sort_dedup_flat`].
+fn sorted_runs(arity: usize, data: &[u32], n: usize) -> (Vec<u32>, Vec<usize>) {
+    fn by_key<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> (Vec<u32>, Vec<usize>) {
+        let mut keyed: Vec<(K, u32)> = (0..n).map(|i| (key(i), i as u32)).collect();
+        keyed.sort_unstable();
+        let runs = (0..n)
+            .filter(|&k| k == 0 || keyed[k - 1].0 != keyed[k].0)
+            .collect();
+        (keyed.into_iter().map(|(_, i)| i).collect(), runs)
+    }
+    let columns: Vec<usize> = (0..arity).collect();
+    let row = |i: usize| &data[i * arity..(i + 1) * arity];
+    match arity {
+        0 => by_key(n, |_| ()),
+        1 | 2 => by_key(n, |i| pack::<u64>(row(i), &columns)),
+        3 | 4 => by_key(n, |i| pack::<u128>(row(i), &columns)),
+        _ => by_key(n, row),
+    }
+}
+
 /// A multiply-mix hasher for the join table's packed integer keys.
 /// SipHash (the `HashMap` default) is measurable overhead when the key
 /// is a single machine word hashed twice per probe row; join keys are
@@ -559,17 +748,42 @@ where
         .fold(K::from(0), |acc, &c| (acc << 32) | K::from(row[c]))
 }
 
+/// One side of a hash join: the relation, its key positions and its
+/// output positions.
+type JoinSide<'a> = (&'a Relation, &'a [usize], &'a [usize]);
+
+/// The rows of a hash join as one flat buffer, and with `PAIRS` the
+/// `(build row, probe row)` source of each output row.
+///
+/// The key columns pack into a fixed-width integer for up to four
+/// shared columns (the overwhelmingly common case — shared sets are
+/// intersections of atom schemas); wider keys fall back to a boxed
+/// slice. Either way, no allocation per probe row on the packed paths.
+fn join_rows<const PAIRS: bool>(
+    build: JoinSide<'_>,
+    probe: JoinSide<'_>,
+    threads: usize,
+) -> (Vec<u32>, Vec<(u32, u32)>) {
+    match build.1.len() {
+        0..=2 => hash_join::<_, PAIRS>(build, probe, threads, pack::<u64>),
+        3..=4 => hash_join::<_, PAIRS>(build, probe, threads, pack::<u128>),
+        _ => hash_join::<_, PAIRS>(build, probe, threads, |row, cols| -> Box<[u32]> {
+            cols.iter().map(|&c| row[c]).collect()
+        }),
+    }
+}
+
 /// The shared hash-join core, monomorphized over the packed key type.
-/// Each side is `(relation, key positions, output positions)`: builds a
-/// key → build-row-indices table from the smaller side, then streams
-/// the probe side (optionally sharded across the pool) and appends each
-/// match's output positions, build side first, to one flat buffer.
-fn hash_join<K>(
-    (build, build_key, build_out): (&Relation, &[usize], &[usize]),
-    (probe, probe_key, probe_extra): (&Relation, &[usize], &[usize]),
+/// Builds a key → build-row-indices table from the smaller side, then
+/// streams the probe side (optionally sharded across the pool) and
+/// appends each match's output positions, build side first, to one flat
+/// buffer, and with `PAIRS` its source rows to a second one.
+fn hash_join<K, const PAIRS: bool>(
+    (build, build_key, build_out): JoinSide<'_>,
+    (probe, probe_key, probe_extra): JoinSide<'_>,
     threads: usize,
     key_of: impl Fn(&[u32], &[usize]) -> K + Sync,
-) -> Vec<u32>
+) -> (Vec<u32>, Vec<(u32, u32)>)
 where
     K: std::hash::Hash + Eq + Send + Sync,
 {
@@ -584,8 +798,9 @@ where
     }
     let table = &table;
     let key_of = &key_of;
-    let probe_shard = |range: std::ops::Range<usize>| -> Vec<u32> {
+    let probe_shard = |range: std::ops::Range<usize>| {
         let mut out: Vec<u32> = Vec::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         for pi in range {
             let row = probe.row(pi);
             if let Some(matches) = table.get(&key_of(row, probe_key)) {
@@ -594,10 +809,13 @@ where
                     let brow = build.row(bi as usize);
                     out.extend(build_out.iter().map(|&i| brow[i]));
                     out.extend(probe_extra.iter().map(|&i| row[i]));
+                    if PAIRS {
+                        pairs.push((bi, pi as u32));
+                    }
                 }
             }
         }
-        out
+        (out, pairs)
     };
     // Small probe sides are not worth the pool hop, and shards below
     // the minimum row count pay more in dispatch than they win in
@@ -615,9 +833,10 @@ where
             move || probe_shard(lo as usize..hi as usize)
         })
         .collect();
-    let mut out = Vec::new();
-    for partial in epq_pool::run_jobs(threads, jobs) {
-        out.extend(partial);
+    let mut out = (Vec::new(), Vec::new());
+    for (rows, pairs) in epq_pool::run_jobs(threads, jobs) {
+        out.0.extend(rows);
+        out.1.extend(pairs);
     }
     out
 }
@@ -625,8 +844,12 @@ where
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{:?}", self.schema)?;
-        for row in self.rows() {
-            writeln!(f, "{row:?}")?;
+        for (i, row) in self.rows().enumerate() {
+            if self.is_bag() {
+                writeln!(f, "{row:?} x{}", self.counts.big(i))?;
+            } else {
+                writeln!(f, "{row:?}")?;
+            }
         }
         Ok(())
     }
@@ -795,6 +1018,148 @@ mod tests {
             row_vecs(&r),
             vec![vec![1, 0, 3], vec![1, 9, 9], vec![2, 0, 0]]
         );
+    }
+
+    /// A bag from `(row, count)` entries; equal rows sum.
+    fn bag(schema: &[u32], entries: &[(&[u32], u128)]) -> Relation {
+        let data = entries.iter().flat_map(|(r, _)| r.to_vec()).collect();
+        let counts = Counts::Small(entries.iter().map(|&(_, c)| c).collect());
+        Relation::from_counted_flat(schema.to_vec(), data, counts)
+    }
+
+    fn bag_entries(r: &Relation) -> Vec<(Vec<u32>, u64)> {
+        r.rows()
+            .enumerate()
+            .map(|(i, row)| (row.to_vec(), r.multiplicity(i).to_u64().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn bag_rows_sort_and_sum() {
+        let b = bag(&[0, 1], &[(&[1, 2], 3), (&[0, 9], 1), (&[1, 2], 4)]);
+        assert_eq!(bag_entries(&b), vec![(vec![0, 9], 1), (vec![1, 2], 7)]);
+        assert_eq!(b.total().to_u64(), Some(8));
+        // Counting a set gives every row multiplicity 1.
+        let set = rel(&[0], &[&[4], &[2]]);
+        assert!(!set.is_bag());
+        let counted = set.counted();
+        assert!(counted.is_bag());
+        assert_eq!(bag_entries(&counted), vec![(vec![2], 1), (vec![4], 1)]);
+    }
+
+    #[test]
+    fn counted_unit_and_total() {
+        assert_eq!(Relation::unit().counted().total().to_u64(), Some(1));
+        assert_eq!(Relation::empty().counted().total().to_u64(), Some(0));
+        assert_eq!(rel(&[0], &[&[1], &[2]]).total().to_u64(), Some(2));
+    }
+
+    #[test]
+    fn bag_projection_sums_collapsing_rows() {
+        let b = bag(&[0, 1], &[(&[0, 5], 2), (&[1, 5], 3), (&[1, 6], 4)]);
+        assert_eq!(
+            bag_entries(&b.project(&[1])),
+            vec![(vec![5], 5), (vec![6], 4)]
+        );
+        assert_eq!(
+            bag_entries(&b.project(&[0])),
+            vec![(vec![0], 2), (vec![1], 7)]
+        );
+    }
+
+    #[test]
+    fn bag_projection_to_nullary_sums_everything() {
+        let b = bag(&[0], &[(&[0], 2), (&[4], 5)]);
+        let nullary = b.project(&[]);
+        assert_eq!((nullary.len(), nullary.total().to_u64()), (1, Some(7)));
+        // Dropping the last column inside a join with the unit bag
+        // gives the same sum.
+        let (dropped, rows) = Relation::unit().join_dropping(&b, Some(0), 1);
+        assert_eq!((rows, dropped), (2, nullary));
+    }
+
+    #[test]
+    fn bag_join_multiplies_matches() {
+        let a = bag(&[0], &[(&[0], 2), (&[1], 3), (&[5], 1)]);
+        let b = bag(&[0], &[(&[1], 10), (&[5], 7), (&[9], 2)]);
+        let j = a.join(&b, 1);
+        assert_eq!(bag_entries(&j), vec![(vec![1], 30), (vec![5], 7)]);
+        assert_eq!(j, b.join(&a, 1));
+        // A set's rows count once.
+        let set = rel(&[0, 1], &[&[1, 0], &[1, 4], &[2, 0]]);
+        assert_eq!(
+            bag_entries(&a.join(&set, 1)),
+            vec![(vec![1, 0], 3), (vec![1, 4], 3)]
+        );
+        // Two sets still join to a set.
+        assert!(!set.join(&set, 1).is_bag());
+    }
+
+    #[test]
+    fn bag_passes_are_thread_count_invariant() {
+        // Probe sides big enough to shard.
+        let entries = |n: u32, a: u32, b: u32| -> Vec<(Vec<u32>, u128)> {
+            (0..n)
+                .map(|i| (vec![i % a, i / b], u128::from(i % 13) + 1))
+                .collect()
+        };
+        let of = |e: &[(Vec<u32>, u128)], schema: &[u32]| {
+            let rows: Vec<(&[u32], u128)> = e.iter().map(|(r, c)| (&r[..], *c)).collect();
+            bag(schema, &rows)
+        };
+        let t = of(&entries(4000, 71, 7), &[0, 1]);
+        let other = of(&entries(3000, 53, 5), &[1, 2]);
+        for threads in [2usize, 3, 8] {
+            assert_eq!(t.join(&other, threads), t.join(&other, 1), "{threads}");
+            assert_eq!(
+                t.join_dropping(&other, Some(1), threads),
+                t.join_dropping(&other, Some(1), 1),
+                "dropping at {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn bag_counts_promote_past_u128() {
+        // Products: 2^100 · 2^100 = 2^200.
+        let big = bag(&[0], &[(&[3], 1 << 100)]);
+        let squared = big.join(&big.clone().renamed(vec![0]), 1);
+        assert_eq!(squared.multiplicity(0), Natural::from(2u64).pow(200));
+        // Sums: two rows of u128::MAX collapse into 2^129 − 2.
+        let wide = bag(&[0, 1], &[(&[0, 0], u128::MAX), (&[0, 1], u128::MAX)]);
+        let sum = wide.project(&[0]);
+        let expected = Natural::from(u128::MAX) + Natural::from(u128::MAX);
+        assert_eq!(sum.multiplicity(0), expected);
+        // A promoted bag keeps joining exactly.
+        let again = sum.join(&big, 1);
+        assert_eq!(again.len(), 0);
+        let cube = squared.join(&big, 1);
+        assert_eq!(cube.total(), Natural::from(2u64).pow(300));
+    }
+
+    #[test]
+    fn full_32_bit_columns_sort_without_collision() {
+        // Values past 2^31 must not bleed into the neighbouring column of
+        // a packed sort key, in sets and in bags.
+        let max = u32::MAX;
+        for arity in 1..=5usize {
+            let low: Vec<u32> = vec![0; arity];
+            let mut high = low.clone();
+            high[0] = max;
+            let mut last = low.clone();
+            last[arity - 1] = max;
+            let schema: Vec<u32> = (0..arity as u32).collect();
+            let rows = vec![high.clone(), last.clone(), low.clone(), last.clone()];
+            let mut expected = rows.clone();
+            expected.sort();
+            expected.dedup();
+            let entries: Vec<(&[u32], u128)> = rows.iter().map(|r| (&r[..], 1)).collect();
+            let counted = bag(&schema, &entries);
+            assert_eq!(row_vecs(&counted), expected, "bag, arity {arity}");
+            assert_eq!(counted.total().to_u64(), Some(4));
+            let set = Relation::new(schema, rows);
+            assert_eq!(row_vecs(&set), expected, "set, arity {arity}");
+        }
     }
 
     #[test]

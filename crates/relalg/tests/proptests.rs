@@ -8,14 +8,16 @@
 //! dependency on `epq-counting` — which depends on this crate and
 //! would otherwise close a dev-dependency cycle.
 
+use epq_bigint::Natural;
 use epq_logic::query::infer_signature;
 use epq_logic::{dnf, Formula, PpFormula, Query, Var};
+use epq_relalg::engine::eliminate;
 use epq_relalg::{answers_pp, count_pp, count_ucq, Relation};
 use epq_structures::{Signature, Structure};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Enumerates all liberal assignments, counting those that extend to a
 /// homomorphism — the ground truth `|φ(B)|`.
@@ -304,6 +306,173 @@ proptest! {
         assert_agrees(&r.union(&s), &m.union(&sm))?;
         prop_assert_eq!(&r.union(&r), &r);
         prop_assert_eq!(r.union(&s), s.project(&cols).union(&r));
+    }
+}
+
+/// The reference of a bag: its schema and a `BTreeMap` from row to
+/// multiplicity, with joins and projections by their definitions.
+#[derive(Clone, Debug)]
+struct BagModel {
+    schema: Vec<u32>,
+    rows: BTreeMap<Vec<u32>, Natural>,
+}
+
+impl BagModel {
+    /// Join: rows agreeing on the shared columns, multiplicities
+    /// multiplied; the schema is `self`'s then `other`'s new columns.
+    fn join(&self, other: &BagModel) -> BagModel {
+        let shared: Vec<(usize, usize)> = self
+            .schema
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| Some((i, other.schema.iter().position(|x| x == c)?)))
+            .collect();
+        let extra: Vec<usize> = (0..other.schema.len())
+            .filter(|&j| !self.schema.contains(&other.schema[j]))
+            .collect();
+        let mut by_key: BTreeMap<Vec<u32>, Vec<(&Vec<u32>, &Natural)>> = BTreeMap::new();
+        for (row, count) in &other.rows {
+            let key = shared.iter().map(|&(_, j)| row[j]).collect();
+            by_key.entry(key).or_default().push((row, count));
+        }
+        let mut rows = BTreeMap::new();
+        for (row, count) in &self.rows {
+            let key: Vec<u32> = shared.iter().map(|&(i, _)| row[i]).collect();
+            for (other_row, other_count) in by_key.get(&key).into_iter().flatten() {
+                let mut out = row.clone();
+                out.extend(extra.iter().map(|&j| other_row[j]));
+                rows.insert(out, count * *other_count);
+            }
+        }
+        let mut schema = self.schema.clone();
+        schema.extend(extra.iter().map(|&j| other.schema[j]));
+        BagModel { schema, rows }
+    }
+
+    /// Projection: multiplicities of collapsing rows summed.
+    fn project(&self, columns: &[u32]) -> BagModel {
+        let positions: Vec<usize> = columns
+            .iter()
+            .map(|c| self.schema.iter().position(|x| x == c).unwrap())
+            .collect();
+        let mut rows: BTreeMap<Vec<u32>, Natural> = BTreeMap::new();
+        for (row, count) in &self.rows {
+            let key = positions.iter().map(|&i| row[i]).collect();
+            *rows.entry(key).or_default() += count;
+        }
+        BagModel {
+            schema: columns.to_vec(),
+            rows,
+        }
+    }
+}
+
+/// The bag and the model hold the same rows with the same
+/// multiplicities, compared in the model's column order.
+fn assert_bag_is(r: &Relation, m: &BagModel, what: &str) -> Result<(), TestCaseError> {
+    let r = r.project(&m.schema);
+    prop_assert_eq!(r.len(), m.rows.len(), "{} size", what);
+    for (i, (row, (key, count))) in r.rows().zip(&m.rows).enumerate() {
+        prop_assert_eq!(row, &key[..], "{} row", what);
+        prop_assert_eq!(&r.multiplicity(i), count, "{} multiplicity", what);
+    }
+    Ok(())
+}
+
+/// A random bag over `columns`: random rows with a hidden column 999
+/// (values `0..3`) projected away, so each row counts up to three times.
+fn random_bag(seed: u64, columns: &[u32], rows: usize, vals: u32) -> (Relation, BagModel) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut wide: Vec<u32> = columns.to_vec();
+    wide.push(999);
+    let rows: BTreeSet<Vec<u32>> = (0..rows)
+        .map(|_| {
+            let mut row: Vec<u32> = columns.iter().map(|_| rng.gen_range(0..vals)).collect();
+            row.push(rng.gen_range(0..3));
+            row
+        })
+        .collect();
+    let model = BagModel {
+        schema: wide.clone(),
+        rows: rows.iter().map(|r| (r.clone(), Natural::one())).collect(),
+    };
+    let bag = Relation::new(wide, rows.into_iter().collect()).counted();
+    (bag.project(columns), model.project(columns))
+}
+
+/// Joins, projections and a summing elimination of two random bags
+/// against the model, at 1, 2 and 4 threads. `cols1` and `cols2` may
+/// share columns; `keep` must be columns of theirs.
+fn check_bag_passes(
+    (r1, m1): &(Relation, BagModel),
+    (r2, m2): &(Relation, BagModel),
+    keep: &[u32],
+) -> Result<(), TestCaseError> {
+    let joined = m1.join(m2);
+    let kept = joined.project(keep);
+    for threads in [1usize, 2, 4] {
+        assert_bag_is(&r1.join(r2, threads), &joined, "join")?;
+        let both = vec![r1.clone(), r2.clone()];
+        let eliminated = eliminate(both, keep, threads, &mut |_, _, _| {});
+        assert_bag_is(&eliminated, &kept, "eliminate")?;
+    }
+    // Drop each column in turn.
+    for &c in &m1.schema {
+        let rest: Vec<u32> = m1.schema.iter().copied().filter(|&x| x != c).collect();
+        assert_bag_is(&r1.project(&rest), &m1.project(&rest), "project")?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn flat_table_passes_match_btreemap_reference(
+        seed in 0u64..10_000,
+        arity1 in 1usize..=3,
+        arity2 in 1usize..=3,
+        overlap in 0usize..=2,
+        entries in 0usize..40,
+        vals in 1u32..=4,
+        pick in 0usize..64,
+    ) {
+        // Bags whose schemas share `overlap` columns: a join multiplies
+        // multiplicities, a projection sums them, and elimination onto a
+        // random kept subset does both.
+        let overlap = overlap.min(arity1).min(arity2);
+        let cols1: Vec<u32> = (0..overlap as u32).chain((10..).take(arity1 - overlap)).collect();
+        let cols2: Vec<u32> = (0..overlap as u32).chain((20..).take(arity2 - overlap)).collect();
+        let b1 = random_bag(seed, &cols1, entries, vals);
+        let b2 = random_bag(seed ^ 0xbead, &cols2, entries / 2 + 1, vals);
+        let mut all: Vec<u32> = cols1.iter().chain(&cols2).copied().collect();
+        all.sort_unstable();
+        all.dedup();
+        let keep: Vec<u32> = all
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| pick & (1 << i) != 0)
+            .map(|(_, &c)| c)
+            .collect();
+        check_bag_passes(&b1, &b2, &keep)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn sharded_flat_table_passes_cross_the_pool_threshold(
+        seed in 0u64..10_000,
+        keep_first in any::<bool>(),
+    ) {
+        // Bags big enough that the 2- and 4-thread joins really shard:
+        // every probe side has at least two shards of 256 rows.
+        let b1 = random_bag(seed, &[0, 1], 1500, 64);
+        let b2 = random_bag(seed ^ 0xbead, &[1, 2], 1500, 64);
+        prop_assert!(b1.0.len() >= 512 && b2.0.len() >= 512);
+        let keep: &[u32] = if keep_first { &[0] } else { &[] };
+        check_bag_passes(&b1, &b2, keep)?;
     }
 }
 

@@ -98,10 +98,9 @@ impl Signature {
 
 /// Binary search over `len` sorted rows of width `key.len()` stored back
 /// to back in `rows`: `Ok(i)` if row `i` equals `key`, `Err(i)` if `key`
-/// belongs before row `i`. [`Relation`] and the DP tables and constraint
-/// sets of `epq-counting` all probe their arenas through it.
+/// belongs before row `i`. [`Relation`] probes its arena through it.
 #[inline]
-pub fn search_rows(rows: &[u32], len: usize, key: &[u32]) -> Result<usize, usize> {
+fn search_rows(rows: &[u32], len: usize, key: &[u32]) -> Result<usize, usize> {
     let arity = key.len();
     let (mut lo, mut hi) = (0, len);
     while lo < hi {

@@ -34,7 +34,7 @@ fn main() {
     );
 
     // Prepare once; maintain incrementally with the scan-based engine
-    // (a DP-table engine would recount each affected disjunct in full).
+    // (a non-scan-based engine would recount each affected disjunct in full).
     let prepared = PreparedQuery::prepare(&query, &sig)
         .expect("query prepares")
         .with_engine(Box::new(RelalgEngine));

@@ -9,7 +9,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`bigint`] | exact naturals/integers/rationals + Vandermonde solver |
-//! | [`graph`] | graphs, treewidth (exact + heuristic), nice tree decompositions, cliques |
+//! | [`graph`] | graphs, treewidth (exact + heuristic), tree decompositions, cliques |
 //! | [`pool`] | std-only scoped work pool shared by every parallel layer |
 //! | [`structures`] | finite relational structures, homomorphisms, products, cores |
 //! | [`logic`] | ep/pp formulas, Chandra–Merlin view, DNF, contract graphs, parser |

@@ -6,7 +6,7 @@ use std::process::Command;
 #[test]
 fn engine_names_that_encoded_a_thread_count_are_rejected() {
     // Thread count is `--threads`, not part of the engine name. `hom-dp`
-    // is rejected the same way: its #Hom DP runs inside `fpt`.
+    // is rejected the same way: its #Hom count runs inside `fpt`.
     for engine in ["fpt-par", "brute-par", "relalg-par", "hom-dp"] {
         let output = Command::new(env!("CARGO_BIN_EXE_epq"))
             .args(["count", "--query", "E(x,y)", "--engine", engine])

@@ -72,14 +72,21 @@ fn check_all_paths(query: &Query, b: &Structure) {
 
 /// Every engine at 1, 2 and 4 worker threads must reproduce the first
 /// engine's 1-thread count, on fixed seeded inputs large enough to
-/// reach each sharding site: `FlatTable::sharded` above
-/// `PAR_NODE_THRESHOLD` and the sharded probe side of the joins fpt and
-/// relalg run (`qpath3` at n = 48), and brute force's sharded assignment
-/// sweep (the quantifier-free `path2` at n = 16 and 24).
+/// reach each sharding site: the sharded probe side of the joins fpt and
+/// relalg run (`qpath3` at n = 48; and at n = 48 a 2-walk one way with
+/// a 3-walk back, whose two boundary relations fpt's counting stage
+/// joins with the 1356-row 3-walk one as the probe side, past two
+/// shards of 256 rows), and brute force's sharded assignment sweep (the
+/// quantifier-free `path2` at n = 16 and 24).
 #[test]
 fn every_engine_agrees_at_every_thread_count_on_seeded_digraphs() {
+    let walks_there_and_back = parse_query(
+        "(x,y) := (exists u . E(x,u) & E(u,y)) & (exists v, w . E(y,v) & E(v,w) & E(w,x))",
+    )
+    .unwrap();
     let inputs = [
         (queries::quantified_path_query(3), 48, 0.08, 48),
+        (walks_there_and_back, 48, 0.08, 48),
         (queries::path_query(2), 16, 0.1, 23),
         (queries::path_query(2), 24, 0.1, 31),
     ];
