@@ -16,8 +16,8 @@
 //!
 //! This crate supplies all of it: a compact undirected [`Graph`], connected
 //! components, clique decision/counting/maximum ([`cliques`]), exact and
-//! heuristic treewidth ([`treewidth`]), tree decompositions with validity
-//! checking ([`decomposition`]), and graph
+//! heuristic treewidth ([`treewidth`]), tree decompositions and *nice* tree
+//! decompositions with validity checking ([`decomposition`]), and graph
 //! generators for the benchmark families ([`generators`]).
 
 pub mod cliques;
@@ -26,6 +26,6 @@ pub mod generators;
 pub mod graph;
 pub mod treewidth;
 
-pub use decomposition::TreeDecomposition;
+pub use decomposition::{NiceNode, NiceTreeDecomposition, TreeDecomposition};
 pub use graph::Graph;
 pub use treewidth::{treewidth_bound, treewidth_exact, TreewidthBound};

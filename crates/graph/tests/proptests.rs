@@ -1,9 +1,9 @@
 //! Property tests for the graph substrate: treewidth bounds bracket the
-//! exact value, decompositions are always valid, and clique counts
-//! match naive enumeration.
+//! exact value, decompositions are always valid, nice conversions are
+//! well-formed, and clique counts match naive enumeration.
 
 use epq_graph::graph::Graph;
-use epq_graph::{cliques, treewidth};
+use epq_graph::{cliques, decomposition::NiceTreeDecomposition, treewidth};
 use proptest::prelude::*;
 
 /// Strategy: a random graph on up to 9 vertices given by an edge mask.
@@ -75,6 +75,14 @@ proptest! {
         let td = treewidth::best_decomposition(&g);
         prop_assert!(td.is_valid_for(&g));
         prop_assert_eq!(td.width(), treewidth::treewidth_exact(&g).unwrap());
+    }
+
+    #[test]
+    fn nice_conversion_preserves_width(g in small_graph()) {
+        let td = treewidth::best_decomposition(&g);
+        let nice = NiceTreeDecomposition::from_tree_decomposition(&td);
+        prop_assert!(nice.is_well_formed());
+        prop_assert_eq!(nice.width(), td.width());
     }
 
     #[test]
